@@ -1,5 +1,6 @@
 """Expression-kernel microbenchmark: per-row compiled closures vs
-whole-column batch kernels.
+whole-column batch kernels — plus the counted-vs-plain sort/merge
+microbenchmark.
 
 Times the two compiled forms of the same expressions
 (:meth:`Expression.compile` vs :meth:`Expression.compile_batch`) over
@@ -11,6 +12,15 @@ pass must not flatter it.
 
 The headline metric is ``kernel_speedup``: the geometric mean of the
 per-shape batch/row ratios, gated ≥ 2x by ``check_regression.py``.
+
+The second benchmark times the engine's in-memory sort and its k-way
+``MergeExchange`` merge on an ``ExecutionContext`` that counts key
+comparisons (the paper-experiment path: a selection heap and merge
+entries of counted keys) against one that does not (the serving path:
+``list.sort``/``heapq.merge`` on plain keys).  Its metric
+``sort_plain_speedup`` is the geometric mean of the two counted/plain
+ratios; ``check_regression.py`` gates it against a baseline measured
+on the re-baselining host.
 
 Two modes, like the other benches:
 
@@ -28,7 +38,14 @@ import sys
 import time
 
 from repro.bench import format_table
-from repro.engine import RowBatch
+from repro.core.sort_order import SortOrder
+from repro.engine import (
+    ExecutionContext,
+    MergeExchange,
+    RowBatch,
+    RowSource,
+    sort_stream,
+)
 from repro.expr import And, col
 from repro.storage import Schema
 
@@ -112,6 +129,76 @@ def run_kernel_benchmark(num_rows: int = 200_000, batch_size: int = 1024,
 
 KERNEL_HEADERS = ["expression shape", "row-closure ms", "kernel ms", "speedup"]
 
+#: The serving report's sort shape: a timestamp-like leading key with
+#: about four rows per value, so ties reach the later columns.
+SORT_SCHEMA = Schema.of(("ts", "int", 8), ("sym", "int", 8),
+                        ("qty", "int", 8), ("tag", "int", 8))
+SORT_ORDER = SortOrder(["ts", "sym", "qty"])
+
+#: Plain sorts/merges must beat counted ones by this much (geomean).
+SORT_SPEEDUP_BAR = 2.0
+
+
+def _sort_rows(num_rows: int, seed: int = 5) -> list[tuple]:
+    rng = random.Random(seed)
+    return [(rng.randrange(num_rows // 4), rng.randrange(40),
+             rng.randrange(500), i) for i in range(num_rows)]
+
+
+def run_sort_benchmark(num_rows: int = 6_000, shards: int = 4,
+                       repeats: int = 7) -> dict:
+    """Best-of-*repeats* wall time of one in-memory SRS sort and one
+    *shards*-way MergeExchange merge, counted vs plain, interleaved so a
+    drift in host speed hits both sides alike.  Rows must match."""
+    rows = _sort_rows(num_rows)
+    positions = SORT_SCHEMA.positions(list(SORT_ORDER))
+
+    def key(row: tuple) -> tuple:
+        return tuple(row[p] for p in positions)
+
+    parts = [sorted(rows[i::shards], key=key) for i in range(shards)]
+
+    def sort_once(meter: bool) -> list[tuple]:
+        ctx = ExecutionContext(meter_comparisons=meter)
+        return list(sort_stream(rows, SORT_SCHEMA, SORT_ORDER, ctx,
+                                algorithm="srs"))
+
+    def merge_once(meter: bool) -> list[tuple]:
+        op = MergeExchange([RowSource(SORT_SCHEMA, part,
+                                      output_order=SORT_ORDER)
+                            for part in parts], SORT_ORDER)
+        return op.run(ExecutionContext(meter_comparisons=meter))
+
+    cases = []
+    log_sum = 0.0
+    # A stable merge of the parts equals a stable sort of their
+    # concatenation.
+    for name, run, expected in (
+            ("in-memory sort", sort_once, sorted(rows, key=key)),
+            (f"{shards}-way merge", merge_once,
+             sorted(sum(parts, []), key=key))):
+        assert run(True) == run(False) == expected, name
+        best = {True: float("inf"), False: float("inf")}
+        for _ in range(repeats):
+            for meter in (True, False):
+                start = time.perf_counter()
+                run(meter)
+                best[meter] = min(best[meter], time.perf_counter() - start)
+        ratio = best[True] / best[False]
+        log_sum += math.log(ratio)
+        cases.append({"name": name, "counted_ms": best[True] * 1000.0,
+                      "plain_ms": best[False] * 1000.0, "speedup": ratio})
+    return {"num_rows": num_rows, "cases": cases,
+            "sort_plain_speedup": math.exp(log_sum / len(cases))}
+
+
+SORT_HEADERS = ["path", "counted ms", "plain ms", "speedup"]
+
+
+def _sort_table_rows(result: dict) -> list:
+    return [[c["name"], round(c["counted_ms"], 2), round(c["plain_ms"], 2),
+             round(c["speedup"], 2)] for c in result["cases"]]
+
 
 def _kernel_rows(result: dict) -> list:
     return [[s["name"], round(s["row_ms"], 2), round(s["kernel_ms"], 2),
@@ -131,6 +218,17 @@ def test_kernels_beat_row_closures(benchmark, results_sink):
     assert result["kernel_speedup"] >= KERNEL_SPEEDUP_BAR, result
 
 
+def test_plain_sorts_beat_counted(benchmark, results_sink):
+    result = benchmark.pedantic(run_sort_benchmark, rounds=1, iterations=1)
+    results_sink(format_table(
+        SORT_HEADERS, _sort_table_rows(result),
+        title=(f"Sort/merge — counted vs plain keys "
+               f"({result['num_rows']:,} rows); geomean speedup "
+               f"{result['sort_plain_speedup']:.2f}x")))
+    benchmark.extra_info["sort_plain_speedup"] = result["sort_plain_speedup"]
+    assert result["sort_plain_speedup"] >= SORT_SPEEDUP_BAR, result
+
+
 # -- standalone / CI smoke ---------------------------------------------------------------
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
@@ -140,12 +238,27 @@ def main(argv: list[str]) -> int:
         KERNEL_HEADERS, _kernel_rows(result),
         title=f"Expression kernels — row closures vs batch kernels "
               f"({num_rows:,} rows)"))
+    sorts = run_sort_benchmark(repeats=5 if smoke else 7)
+    print(format_table(
+        SORT_HEADERS, _sort_table_rows(sorts),
+        title=f"Sort/merge — counted vs plain keys "
+              f"({sorts['num_rows']:,} rows)"))
     floor = 1.5 if smoke else KERNEL_SPEEDUP_BAR
+    sort_floor = 1.5 if smoke else SORT_SPEEDUP_BAR
+    failed = False
     if result["kernel_speedup"] < floor:
         print(f"FAIL: kernel speedup {result['kernel_speedup']:.2f}x "
               f"< {floor}x (geomean across shapes)")
+        failed = True
+    if sorts["sort_plain_speedup"] < sort_floor:
+        print(f"FAIL: plain sort/merge speedup "
+              f"{sorts['sort_plain_speedup']:.2f}x < {sort_floor}x")
+        failed = True
+    if failed:
         return 1
     print(f"\nkernel speedup (geomean): {result['kernel_speedup']:.2f}x")
+    print(f"plain sort/merge speedup (geomean): "
+          f"{sorts['sort_plain_speedup']:.2f}x")
     print("ok")
     return 0
 

@@ -12,7 +12,9 @@ Deterministic metrics (cache hit rates, branch-and-bound goal counts,
 simulated blocks read) are gated tightly by construction; the
 wall-clock metrics (batched-vs-row, columnar-vs-row-engine and
 kernel-vs-closure speedups) are gated against *conservative* baselines
-so shared-runner noise does not flap the build.
+so shared-runner noise does not flap the build.  The counted-vs-plain
+sort/merge ratio is gated against the value measured on the
+re-baselining host.
 
 Usage::
 
@@ -42,7 +44,7 @@ from bench_scalability import (  # noqa: E402
     run_shard_enforcer_benchmark,
     run_sharded_join_benchmark,
 )
-from bench_kernels import run_kernel_benchmark  # noqa: E402
+from bench_kernels import run_kernel_benchmark, run_sort_benchmark  # noqa: E402
 from bench_serving import (  # noqa: E402
     run_overload_benchmark,
     run_serving_benchmark,
@@ -89,6 +91,12 @@ def collect_metrics() -> tuple[dict[str, float], set[str]]:
     # Expression kernels: whole-column evaluation vs per-row closures.
     kern = run_kernel_benchmark(num_rows=30_000, repeats=2)
     metrics["kernel_speedup"] = round(kern["kernel_speedup"], 3)
+
+    # Comparison metering: serving's plain-key sorts and merges against
+    # the counted paper-experiment path.  Unlike the pinned ratios above,
+    # its baseline is the value measured by the last --update.
+    sorts = run_sort_benchmark(repeats=5)
+    metrics["sort_plain_speedup"] = round(sorts["sort_plain_speedup"], 3)
 
     # Shard-aware enforcement: simulated cost units are deterministic, so
     # both absolute costs and the post-union/merge advantage gate tightly.
@@ -227,7 +235,7 @@ def write_baseline(metrics: dict[str, float]) -> None:
         higher_is_better = name.startswith(
             ("adaptive_replan_advantage",
              "cache_hit_rate", "batch_speedup", "columnar_speedup",
-             "kernel_speedup", "serving_speedup",
+             "kernel_speedup", "serving_speedup", "sort_plain_speedup",
              "serving_cache_hit_rate", "shard_merge_advantage",
              "sharded_join_advantage", "join_order_search_ratio",
              "overload_goodput", "overload_raw_shed",

@@ -31,8 +31,8 @@ from ..core.sort_order import EMPTY_ORDER, SortOrder, longest_common_prefix
 from ..expr.expressions import Expression, Predicate
 from ..storage.schema import Column, Schema
 from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of, flatten_batches
-from .context import CountedKey, ExecutionContext
-from .iterators import Operator, key_function
+from .context import CountedRank, ExecutionContext
+from .iterators import Operator, null_first_key
 from .kernels import OperatorKernels, compile_kernels
 from .sorting import sort_stream
 
@@ -276,13 +276,18 @@ class TopK(Operator):
         self.k = k
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        key_fn = key_function(self.schema, self.output_order)
+        key_fn = null_first_key(self.schema.positions(list(self.output_order)))
+        rows = flatten_batches(self.children[0].execute_batches(ctx))
+        if not ctx.meter_comparisons:
+            return batches_of(heapq.nsmallest(self.k, rows, key=key_fn),
+                              ctx.batch_size)
+        # Ranks tie on input position, so each comparison nsmallest
+        # makes — bare or inside its heap entries — is tallied once.
         counter = ctx.comparisons
-        # nsmallest with counted keys tallies its comparisons.
-        rows = heapq.nsmallest(
-            self.k, flatten_batches(self.children[0].execute_batches(ctx)),
-            key=lambda r: CountedKey(key_fn(r), counter))
-        return batches_of(rows, ctx.batch_size)
+        ranked = heapq.nsmallest(
+            self.k, enumerate(rows),
+            key=lambda item: CountedRank(key_fn(item[1]), item[0], counter))
+        return batches_of([row for _, row in ranked], ctx.batch_size)
 
     def details(self) -> str:
         return f"k={self.k} by {self.output_order}"

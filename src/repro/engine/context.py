@@ -3,8 +3,10 @@
 The paper evaluates everything in *I/O cost units* ("CPU cost is
 appropriately translated into I/O cost units").  Our substrate holds all
 data in RAM but charges every block transfer to an
-:class:`IOAccountant`, and counts key comparisons, so experiments can
-report a deterministic simulated cost alongside wall-clock time.
+:class:`IOAccountant`, and counts key comparisons (unless the context
+opts out with ``meter_comparisons=False``, as serving does), so
+experiments can report a deterministic simulated cost alongside
+wall-clock time.
 
 ``ExecutionContext.cost_units()`` is the single number used by the
 benchmark harness:  ``blocks_read + blocks_written +
@@ -41,12 +43,33 @@ class ComparisonCounter:
         self.value += n
 
 
+class DisabledComparisonCounter(ComparisonCounter):
+    """The counter of an unmetered context: ``add`` is a no-op and
+    ``value`` reads exactly 0 (never a partial count).
+
+    Unmetered sorts never build :class:`CountedKey` wrappers, so nothing
+    bumps ``value`` directly; a stray ``counter.value += 1`` fails loudly
+    (no instance slot) instead of counting.
+    """
+
+    __slots__ = ()
+    value = 0
+
+    def __init__(self) -> None:
+        pass
+
+    def add(self, n: int = 1) -> None:
+        pass
+
+
 class CountedKey:
     """A sort key wrapper whose comparisons are tallied.
 
-    Used by both external-sort variants so the "reduced number of
+    Used by the metered sort paths so the "reduced number of
     comparisons" effect of MRS (Section 3.1, benefit 3) is directly
-    measurable.
+    measurable.  For *bare* keys — ``list.sort(key=...)`` compares keys
+    only with ``<`` — one tally is one key comparison.  Keys embedded in
+    heap entries need :class:`CountedRank` instead.
     """
 
     __slots__ = ("key", "counter")
@@ -71,6 +94,35 @@ class CountedKey:
 
     def __hash__(self) -> int:  # pragma: no cover - keys are not hashed in sorts
         return hash(self.key)
+
+
+class CountedRank:
+    """A counted sort key with a unique tie-break, for keys that heap
+    algorithms compare *inside* tuples and lists.
+
+    Python compares sequences element by element with ``==`` until one
+    pair differs, then applies ``<`` to that pair — so a
+    :class:`CountedKey` inside a heap entry is tallied twice for every
+    unequal pair.  A rank carries its own tie-break (input sequence
+    number, or shard index in a merge) and so is never equal to another
+    rank: ``==`` falls back to identity without a Python call, and each
+    comparison, bare or inside an entry, is exactly one counted
+    ``__lt__``.
+    """
+
+    __slots__ = ("key", "tie", "counter")
+
+    def __init__(self, key, tie: int, counter: ComparisonCounter) -> None:
+        self.key = key
+        self.tie = tie
+        self.counter = counter
+
+    def __lt__(self, other: "CountedRank") -> bool:
+        self.counter.value += 1
+        key, other_key = self.key, other.key
+        if key == other_key:
+            return self.tie < other.tie
+        return key < other_key
 
 
 @dataclass
@@ -134,11 +186,20 @@ class ExecutionContext:
                  check_orders: bool = False,
                  batch_size: Optional[int] = None,
                  columnar: bool = True,
-                 meter_timing: bool = False) -> None:
+                 meter_timing: bool = False,
+                 meter_comparisons: bool = True) -> None:
         self.catalog = catalog
         self.params = params or (catalog.params if catalog else SystemParameters())
         self.io = IOAccountant()
-        self.comparisons = ComparisonCounter()
+        #: When false, nothing counts key comparisons: sorts and merges
+        #: run ``list.sort``/``heapq`` on plain keys at C speed and
+        #: ``comparisons.value`` reads exactly 0.  **On by default** —
+        #: the paper's experiments and the tally pins read the count;
+        #: the serving stack turns it off on the contexts it creates for
+        #: itself, since nothing there reads it.  Rows and every other
+        #: tally are identical either way.
+        self.meter_comparisons = meter_comparisons
+        self.comparisons = self._new_counter()
         self.sort_metrics = SortMetrics()
         #: When true, order-requiring operators verify their inputs are
         #: actually sorted (used heavily in tests; off in benchmarks).
@@ -169,6 +230,10 @@ class ExecutionContext:
         #: Per-operator ``[seconds, batches]`` cells keyed like
         #: :attr:`operator_rows`; always empty unless ``meter_timing``.
         self.operator_times: dict[str, list] = {}
+
+    def _new_counter(self) -> ComparisonCounter:
+        return (ComparisonCounter() if self.meter_comparisons
+                else DisabledComparisonCounter())
 
     # -- derived ---------------------------------------------------------------------
     def cost_units(self) -> float:
@@ -241,7 +306,7 @@ class ExecutionContext:
         """
         return ExecutionContext(self.catalog, self.params, self.check_orders,
                                 self.batch_size, self.columnar,
-                                self.meter_timing)
+                                self.meter_timing, self.meter_comparisons)
 
     def tallies(self) -> dict:
         """All counters as a flat, picklable dict.
@@ -259,6 +324,7 @@ class ExecutionContext:
             "run_blocks_read": self.io.run_blocks_read,
             "partition_blocks": self.io.partition_blocks,
             "comparisons": self.comparisons.value,
+            "meter_comparisons": self.meter_comparisons,
             "runs_created": self.sort_metrics.runs_created,
             "segments_sorted": self.sort_metrics.segments_sorted,
             "rows_spilled": self.sort_metrics.rows_spilled,
@@ -271,14 +337,25 @@ class ExecutionContext:
         }
 
     def absorb_tallies(self, tallies: dict) -> None:
-        """Fold a :meth:`tallies` dict (e.g. from a worker process) in."""
+        """Fold a :meth:`tallies` dict (e.g. from a worker process) in.
+
+        Both sides must agree on ``meter_comparisons``: unmetered tallies
+        folded into a metered context would leave a partial comparison
+        count, and metered ones in an unmetered context mean a worker
+        counted for nobody.  Either mismatch raises.
+        """
+        if tallies.get("meter_comparisons", True) != self.meter_comparisons:
+            raise ValueError(
+                f"cannot absorb tallies with meter_comparisons="
+                f"{not self.meter_comparisons} into a context with "
+                f"meter_comparisons={self.meter_comparisons}")
         self.io.blocks_read += tallies["blocks_read"]
         self.io.blocks_written += tallies["blocks_written"]
         self.io.scan_blocks += tallies["scan_blocks"]
         self.io.run_blocks_written += tallies["run_blocks_written"]
         self.io.run_blocks_read += tallies["run_blocks_read"]
         self.io.partition_blocks += tallies["partition_blocks"]
-        self.comparisons.value += tallies["comparisons"]
+        self.comparisons.add(tallies["comparisons"])
         self.sort_metrics.runs_created += tallies["runs_created"]
         self.sort_metrics.segments_sorted += tallies["segments_sorted"]
         self.sort_metrics.rows_spilled += tallies["rows_spilled"]
@@ -308,7 +385,7 @@ class ExecutionContext:
 
     def reset(self) -> None:
         self.io = IOAccountant()
-        self.comparisons = ComparisonCounter()
+        self.comparisons = self._new_counter()
         self.sort_metrics = SortMetrics()
         self.operator_rows = {}
         self.operator_times = {}

@@ -36,7 +36,7 @@ from ..core.sort_order import EMPTY_ORDER, SortOrder
 from .basic import Compute, Filter, Project, Sort
 from .batch import RowBatch, batches_of, flatten_batches
 from .context import ExecutionContext
-from .iterators import Operator, assert_sorted_rows, key_function
+from .iterators import Operator, assert_sorted_rows, null_first_key
 from .scans import (
     ClusteringIndexScan,
     RangePartitionScan,
@@ -154,10 +154,11 @@ class MergeExchange(Operator):
     under ``ctx.check_orders``).  The merge is stable — equal keys come
     out in shard order, and within a shard in arrival order — so the
     output is bit-identical to what a stable full sort over the
-    concatenation of the children (in child order) would produce.  Merge
-    comparisons are tallied through the shared
-    :class:`~repro.engine.context.CountedKey` machinery, and are
-    independent of the batch size.
+    concatenation of the children (in child order) would produce.  On a
+    metered context each merge comparison is tallied once (see
+    :func:`~repro.engine.sorting.merge_sorted_streams`), independent of
+    the batch size; unmetered, the merge is ``heapq.merge`` on plain
+    keys.
     """
 
     name = "MergeExchange"
@@ -212,7 +213,7 @@ class MergeExchange(Operator):
                 for stream in streams:
                     yield from stream
             return batches_of(concatenated(), ctx.batch_size)
-        key_fn = key_function(self.schema, self.output_order)
+        key_fn = null_first_key(self.schema.positions(list(self.output_order)))
         merged = merge_sorted_streams(streams, key_fn, ctx)
         return batches_of(merged, ctx.batch_size)
 

@@ -219,6 +219,77 @@ def null_safe_wrap(values: tuple) -> tuple:
     return tuple((False, 0) if v is None else (True, v) for v in values)
 
 
+class _NullFirst:
+    """SQL NULL inside a plain sort key: below every value, equal only to
+    itself — the order :func:`null_safe_wrap` gives, without wrapping
+    the non-NULL values.  Other types' comparisons against it return
+    ``NotImplemented``, so Python consults the reflected method here."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return other is not self
+
+    def __le__(self, other: object) -> bool:
+        return True
+
+    def __gt__(self, other: object) -> bool:
+        return False
+
+    def __ge__(self, other: object) -> bool:
+        return other is self
+
+    def __eq__(self, other: object) -> bool:
+        return other is self
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "NULL"
+
+
+#: The one NULL-first sentinel of :func:`null_first_key`.
+NULL_FIRST = _NullFirst()
+
+
+def plain_key(positions: Sequence[int]) -> Callable[[tuple], object]:
+    """The bare C-level key over *positions* (a scalar for one column,
+    a tuple for several) — valid on rows whose key holds no NULL."""
+    return itemgetter(*positions)
+
+
+def null_first_key(positions: Sequence[int]) -> Callable[[tuple], object]:
+    """:func:`plain_key` for streams that may hold NULLs: only a key that
+    contains one is re-encoded, with :data:`NULL_FIRST` in its place.
+    Re-encoded and bare keys order consistently, so merges and spilled
+    runs can mix them — a shard with NULLs merges with one without."""
+    getter = itemgetter(*positions)
+    if len(positions) == 1:
+        def key(row: tuple) -> object:
+            value = getter(row)
+            return NULL_FIRST if value is None else value
+        return key
+
+    def key(row: tuple) -> object:
+        values = getter(row)
+        if None in values:
+            return tuple(NULL_FIRST if v is None else v for v in values)
+        return values
+    return key
+
+
+def load_key(rows: list[tuple],
+             positions: Sequence[int]) -> Callable[[tuple], object]:
+    """The sort key for one in-memory load, chosen once by looking at
+    the whole load: :func:`plain_key` when no key column holds a NULL,
+    else :func:`null_first_key`.  Both give the same order."""
+    for pos in positions:
+        if None in map(itemgetter(pos), rows):
+            return null_first_key(positions)
+    return plain_key(positions)
+
+
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     """Row → tuple-of-positions extractor (``itemgetter``-backed).
 

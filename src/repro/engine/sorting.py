@@ -20,20 +20,27 @@ Two algorithms:
   attributes.
 
 Both charge block transfers to the :class:`~repro.engine.context.ExecutionContext`
-and count comparisons, making Experiments A1–A4 reproducible.
+and, when the context meters comparisons, count each key comparison
+once, making Experiments A1–A4 reproducible.  Unmetered contexts sort
+and merge with ``list.sort``/``heapq`` on plain ``itemgetter`` keys —
+no Python call per comparison — and yield the same rows in the same
+order.  Keys need no per-row wrapping: an in-memory load is checked
+once for NULLs in its key columns, and streams that cannot be seen
+whole (merges, spilled runs) re-encode only keys that hold a NULL.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..core.sort_order import SortOrder
 from ..storage.schema import Schema
-from .context import CountedKey, ExecutionContext
-from .iterators import null_safe_wrap, tuple_getter
+from .context import CountedKey, CountedRank, ExecutionContext
+from .iterators import load_key, null_first_key, plain_key
 
-KeyFn = Callable[[tuple], tuple]
+KeyFn = Callable[[tuple], object]
 
 _SENTINEL = object()
 
@@ -60,22 +67,46 @@ class _RunStore:
         return self.ctx.charged_stream(run, self.row_bytes, category=self.category)
 
 
+def _sort_load(rows: list[tuple], positions: Sequence[int],
+               ctx: ExecutionContext) -> None:
+    """Stable in-place sort of one in-memory load on *positions*.
+
+    The key is chosen once for the load (:func:`load_key`); metered, each
+    key is wrapped so ``list.sort`` — which compares bare keys with
+    ``<`` only — tallies one comparison per comparison.
+    """
+    key_fn = load_key(rows, positions)
+    if ctx.meter_comparisons:
+        counter = ctx.comparisons
+        rows.sort(key=lambda row: CountedKey(key_fn(row), counter))
+    else:
+        rows.sort(key=key_fn)
+
+
 def merge_sorted_streams(streams: Sequence[Iterable[tuple]], key_fn: KeyFn,
                          ctx: ExecutionContext) -> Iterator[tuple]:
-    """Stable k-way merge of sorted row streams, tallying comparisons.
+    """Stable k-way merge of sorted row streams.
 
     ``heapq.merge`` breaks key ties by stream position, so merging
     per-shard sorted streams *in shard order* reproduces exactly the row
     sequence a stable full sort of the concatenated input would emit —
     the invariant :class:`~repro.engine.exchange.MergeExchange` and the
-    run merges below both rely on.
+    run merges below both rely on.  *key_fn* must accept every row of
+    every stream (:func:`~repro.engine.iterators.null_first_key` when
+    NULLs may appear).  Unmetered, this is ``heapq.merge`` on the plain
+    keys; metered, each row's key becomes a :class:`CountedRank` tied on
+    its stream index, so every merge comparison is tallied once.
     """
+    if not ctx.meter_comparisons:
+        return heapq.merge(*streams, key=key_fn)
     counter = ctx.comparisons
 
-    def counted_key(row: tuple) -> CountedKey:
-        return CountedKey(key_fn(row), counter)
+    def ranked(index: int, stream: Iterable[tuple]) -> Iterator[tuple]:
+        for row in stream:
+            yield CountedRank(key_fn(row), index, counter), row
 
-    return heapq.merge(*streams, key=counted_key)
+    merged = heapq.merge(*(ranked(i, s) for i, s in enumerate(streams)))
+    return (row for _, row in merged)
 
 
 def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
@@ -105,40 +136,56 @@ def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
     return merge_sorted_streams([store.read_run(r) for r in runs], key_fn, ctx)
 
 
-def srs_sort(rows: Iterable[tuple], key_fn: KeyFn, ctx: ExecutionContext,
-             row_bytes: int) -> Iterator[tuple]:
-    """Standard replacement selection external sort.
+def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
+             ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
+    """Standard replacement selection external sort on *positions*.
 
-    If the input fits in sort memory the heap is simply drained (an
-    in-memory sort, no I/O) — this matches the cost model's
-    ``B(e) ≤ M`` branch.  Otherwise runs go to the simulated disk and are
-    merged, charging every transfer.
+    If the input fits in sort memory it is sorted in memory, with no
+    I/O — this matches the cost model's ``B(e) ≤ M`` branch.  Otherwise
+    runs go to the simulated disk and are merged, charging every
+    transfer.  Metered, the in-memory sort drains a selection heap so
+    the tally is replacement selection's; unmetered it is one stable
+    ``list.sort`` — the same rows in the same order.
     """
     # A row wider than sort memory must not yield capacity 0: the first
     # row would become ``overflow_row`` against an empty heap and the
     # replacement-selection loop would silently drop the whole input.
     capacity = max(1, ctx.memory_capacity_rows(row_bytes))
+    metered = ctx.meter_comparisons
     counter = ctx.comparisons
-    heap: list[tuple[int, CountedKey, int, tuple]] = []
-    seq = 0
     it = iter(rows)
+    load = list(islice(it, capacity))
+    overflow_row = next(it, _SENTINEL)
 
-    overflow_row = _SENTINEL
-    for row in it:
-        if len(heap) < capacity:
-            heapq.heappush(heap, (0, CountedKey(key_fn(row), counter), seq, row))
-            seq += 1
-        else:
-            overflow_row = row
-            break
+    in_memory = overflow_row is _SENTINEL
+    # A load seen whole picks its key once; a spilling sort cannot see
+    # the rows still to come, so it re-encodes per row where NULLs occur.
+    key_fn = (load_key(load, positions) if in_memory
+              else null_first_key(positions))
 
-    if overflow_row is _SENTINEL:
+    def heap_key(row: tuple, seq: int) -> object:
+        # Heap entries order on (run, key, input sequence): ties leave in
+        # arrival order, so every run is a stable sort.  Metered, the key
+        # is a rank tied on the same sequence: one tally per comparison.
+        key = key_fn(row)
+        return CountedRank(key, seq, counter) if metered else key
+
+    if in_memory:
         # Entire input fits in memory: no run I/O at all.
         ctx.sort_metrics.in_memory_sorts += 1
+        if not metered:
+            load.sort(key=key_fn)
+            yield from load
+            return
+    heap: list[tuple] = []
+    for seq, row in enumerate(load):
+        heapq.heappush(heap, (0, heap_key(row, seq), seq, row))
+    if in_memory:
         while heap:
             yield heapq.heappop(heap)[3]
         return
 
+    seq = len(load)
     store = _RunStore(ctx, row_bytes)
     current_run = 0
     run_buffer: list[tuple] = []
@@ -156,12 +203,12 @@ def srs_sort(rows: Iterable[tuple], key_fn: KeyFn, ctx: ExecutionContext,
             current_run = run_id
         run_buffer.append(popped_row)
         if pending is not _SENTINEL:
-            new_key = key_fn(pending)
-            counter.add()
-            # A new tuple smaller than the last one output cannot join the
-            # current run; defer it to the next run.
-            target = run_id if new_key >= popped_key.key else run_id + 1
-            heapq.heappush(heap, (target, CountedKey(new_key, counter), seq, pending))
+            new_key = heap_key(pending, seq)
+            # A new tuple smaller than the last one output cannot join
+            # the current run; defer it to the next run.  (Metered, this
+            # comparison of two ranks is tallied like any other.)
+            target = run_id + 1 if new_key < popped_key else run_id
+            heapq.heappush(heap, (target, new_key, seq, pending))
             seq += 1
             pending = next(it, _SENTINEL)
     flush_run()
@@ -169,15 +216,16 @@ def srs_sort(rows: Iterable[tuple], key_fn: KeyFn, ctx: ExecutionContext,
     yield from _merge_runs(store, store.runs, key_fn, ctx)
 
 
-def mrs_sort(rows: Iterable[tuple], segment_key_fn: KeyFn, suffix_key_fn: KeyFn,
-             ctx: ExecutionContext, row_bytes: int,
-             full_key_fn: Optional[KeyFn] = None) -> Iterator[tuple]:
+def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],
+             suffix_positions: Sequence[int], ctx: ExecutionContext,
+             row_bytes: int) -> Iterator[tuple]:
     """Modified replacement selection exploiting a known partial sort order.
 
-    ``segment_key_fn`` extracts the already-sorted prefix attributes;
-    ``suffix_key_fn`` the remaining attributes to sort within a segment.
-    Tuples are emitted segment by segment — output starts as soon as the
-    first segment completes, enabling fully pipelined execution.
+    ``prefix_positions`` hold the already-sorted prefix attributes;
+    ``suffix_positions`` the remaining attributes to sort within a
+    segment.  Tuples are emitted segment by segment — output starts as
+    soon as the first segment completes, enabling fully pipelined
+    execution.
 
     Oversized segments (larger than sort memory) degrade gracefully: full
     memory loads are sorted and spilled as runs, then merged — per
@@ -189,35 +237,36 @@ def mrs_sort(rows: Iterable[tuple], segment_key_fn: KeyFn, suffix_key_fn: KeyFn,
     # row (and an empty run first) instead of degrading gracefully.
     capacity = max(1, ctx.memory_capacity_rows(row_bytes))
     counter = ctx.comparisons
-    full_key_fn = full_key_fn or suffix_key_fn
+    # Segment boundaries test equality only, where plain keys and the
+    # NULL-first encoding agree (NULL equals NULL, and nothing else).
+    segment_key = plain_key(prefix_positions)
+    suffix_key = null_first_key(suffix_positions)
 
-    def counted_suffix(row: tuple) -> CountedKey:
-        return CountedKey(suffix_key_fn(row), counter)
-
-    def emit_segment(segment: list[tuple], store: Optional[_RunStore]) -> Iterator[tuple]:
+    def emit_segment(segment: list[tuple], store: _RunStore | None) -> Iterator[tuple]:
         ctx.sort_metrics.segments_sorted += 1
+        _sort_load(segment, suffix_positions, ctx)
         if store is None or not store.runs:
-            segment.sort(key=counted_suffix)
             ctx.sort_metrics.in_memory_sorts += 1
             yield from segment
             return
-        # The segment spilled: sort the in-memory tail, then merge it with
-        # the on-disk runs of this segment only.  The run merge honours the
-        # same fan-in limit as SRS (intermediate passes when there are more
-        # runs than buffers), so an all-one-segment input converges to SRS
-        # cost — the right edge of Fig. 9.
-        segment.sort(key=counted_suffix)
-        merged_runs = _merge_runs(store, store.runs, suffix_key_fn, ctx)
-        yield from heapq.merge(merged_runs, iter(segment), key=counted_suffix)
+        # The segment spilled: merge its sorted in-memory tail with the
+        # on-disk runs of this segment only.  The run merge honours the
+        # same fan-in limit as SRS (intermediate passes when there are
+        # more runs than buffers), so an all-one-segment input converges
+        # to SRS cost — the right edge of Fig. 9.
+        merged_runs = _merge_runs(store, store.runs, suffix_key, ctx)
+        yield from merge_sorted_streams([merged_runs, segment], suffix_key, ctx)
 
     current_prefix: object = _SENTINEL
     segment: list[tuple] = []
-    store: Optional[_RunStore] = None
+    store: _RunStore | None = None
 
     for row in rows:
-        prefix = segment_key_fn(row)
+        prefix = segment_key(row)
         counter.add()  # the segment-boundary test is a key comparison
-        if prefix != current_prefix:
+        # ``is not`` first: a one-column prefix is a scalar, and this
+        # keeps tuple-element equality semantics for it.
+        if prefix is not current_prefix and prefix != current_prefix:
             if current_prefix is not _SENTINEL:
                 yield from emit_segment(segment, store)
             current_prefix = prefix
@@ -229,7 +278,7 @@ def mrs_sort(rows: Iterable[tuple], segment_key_fn: KeyFn, suffix_key_fn: KeyFn,
             # Spill one memory load of this segment as a sorted run.
             if store is None:
                 store = _RunStore(ctx, row_bytes)
-            segment.sort(key=counted_suffix)
+            _sort_load(segment, suffix_positions, ctx)
             store.write_run(segment)
             segment = []
     if current_prefix is not _SENTINEL:
@@ -250,6 +299,7 @@ def sort_stream(
     (must be a prefix of *target_order*).  ``algorithm`` may force
     ``"srs"`` (ignore the prefix, as the systems in Experiment A1 do) or
     ``"mrs"``; ``"auto"`` uses MRS exactly when a usable prefix exists.
+    Rows come out NULLs first, ties in input order.
     """
     if algorithm not in ("auto", "srs", "mrs"):
         raise ValueError(f"unknown sort algorithm {algorithm!r}")
@@ -260,11 +310,6 @@ def sort_stream(
     positions = schema.positions(list(target_order))
     k = len(known_prefix)
 
-    full_getter = tuple_getter(positions)
-
-    def full_key(row: tuple) -> tuple:
-        return null_safe_wrap(full_getter(row))
-
     if algorithm == "mrs" and k == 0:
         raise ValueError("MRS requires a non-empty known sort-order prefix")
 
@@ -273,14 +318,5 @@ def sort_stream(
         # Input already fully sorted; nothing to do.
         return iter(rows)
     if use_mrs:
-        prefix_getter = tuple_getter(positions[:k])
-        suffix_getter = tuple_getter(positions[k:])
-
-        def segment_key(row: tuple) -> tuple:
-            return null_safe_wrap(prefix_getter(row))
-
-        def suffix_key(row: tuple) -> tuple:
-            return null_safe_wrap(suffix_getter(row))
-
-        return mrs_sort(rows, segment_key, suffix_key, ctx, row_bytes, full_key)
-    return srs_sort(rows, full_key, ctx, row_bytes)
+        return mrs_sort(rows, positions[:k], positions[k:], ctx, row_bytes)
+    return srs_sort(rows, positions, ctx, row_bytes)

@@ -433,7 +433,8 @@ def _worker_trace(trace_ctx: Optional[tuple]) -> tuple[Optional[Trace],
 def execute_subplan(plan, batch_size: Optional[int] = None,
                     check_orders: bool = False,
                     meter_timing: bool = False,
-                    trace_ctx: Optional[tuple] = None
+                    trace_ctx: Optional[tuple] = None,
+                    meter_comparisons: bool = True
                     ) -> tuple[list[tuple], dict, Optional[list]]:
     """Worker entrypoint: run one shipped subplan to completion.
 
@@ -443,11 +444,14 @@ def execute_subplan(plan, batch_size: Optional[int] = None,
     by the parent in task order so totals stay deterministic — and,
     when *trace_ctx* carries a ``(trace_id, parent_span_id)`` pair, the
     worker's span records for re-attachment (``None`` otherwise).
+    *meter_timing* and *meter_comparisons* mirror the parent context's
+    flags, so the tallies shipped home are the ones it would have kept.
     """
     _require_worker_catalog()
     ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
                            check_orders=check_orders,
-                           meter_timing=meter_timing)
+                           meter_timing=meter_timing,
+                           meter_comparisons=meter_comparisons)
     trace, root = _worker_trace(trace_ctx)
     if trace is None:
         op, _ = _lowered_cached(plan)
@@ -468,7 +472,8 @@ def execute_subplan_stream(plan, stream_id: int,
                            check_orders: bool = False,
                            chunk_rows: int = 2048,
                            meter_timing: bool = False,
-                           trace_ctx: Optional[tuple] = None) -> None:
+                           trace_ctx: Optional[tuple] = None,
+                           meter_comparisons: bool = True) -> None:
     """Streaming worker entrypoint: ship the subplan's rows chunk by
     chunk on the pool's shared results queue.
 
@@ -493,7 +498,8 @@ def execute_subplan_stream(plan, stream_id: int,
         raise ValueError("chunk_rows must be >= 1")
     ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
                            check_orders=check_orders,
-                           meter_timing=meter_timing)
+                           meter_timing=meter_timing,
+                           meter_comparisons=meter_comparisons)
     trace, root = _worker_trace(trace_ctx)
     with (trace.span("lower", parent=root) if trace is not None
           else _NULL_CM) as lower_span:

@@ -92,8 +92,11 @@ class SerialBackend(ExecutionBackend):
                  batch_size: Optional[int] = None,
                  check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
+        # A context made here is read by nobody: it skips comparison
+        # counting.  A caller's ctx keeps its own setting.
         ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
-                                      check_orders=check_orders)
+                                      check_orders=check_orders,
+                                      meter_comparisons=False)
         executor = BatchedExecutor(parallelism=parallelism,
                                    use_threads=self.use_threads)
         # child_span is ambient: a no-op unless the caller is inside an
@@ -361,6 +364,9 @@ class ProcessPoolBackend(ExecutionBackend):
         # backends, and untraced queries pay one ContextVar read.
         parent = active_span()
         meter_timing = ctx is not None and ctx.meter_timing
+        # Without a caller ctx nobody reads the tallies: workers and the
+        # local merge skip comparison counting.
+        meter_comparisons = ctx is not None and ctx.meter_comparisons
         occurrences, tasks = shard_subplans(plan)
         attempts = 0
         while True:
@@ -370,12 +376,12 @@ class ProcessPoolBackend(ExecutionBackend):
                     rows, local = self._run_streaming(
                         handle, plan, occurrences, tasks, catalog,
                         batch_size, check_orders, parent, meter_timing,
-                        attempts)
+                        attempts, meter_comparisons)
                 else:
                     rows, local = self._run_gathered(
                         handle, occurrences, tasks, plan, catalog,
                         batch_size, check_orders, parent, meter_timing,
-                        attempts)
+                        attempts, meter_comparisons)
                 break
             except BrokenExecutor:
                 # A worker died (OOM, signal).  This attempt's futures
@@ -436,7 +442,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _run_gathered(self, handle: _PoolHandle, occurrences, tasks, plan,
                       catalog: Catalog, batch_size, check_orders,
                       parent=None, meter_timing: bool = False,
-                      attempt: int = 0
+                      attempt: int = 0, meter_comparisons: bool = True
                       ) -> tuple[list[tuple], ExecutionContext]:
         """Whole-result transfer: one future per task, each returning
         its full row list; the gather runs after every shard lands."""
@@ -452,7 +458,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 spans.append(span)
                 futures.append(handle.pool.submit(
                     execute_subplan, task, batch_size, check_orders,
-                    meter_timing, trace_ctx))
+                    meter_timing, trace_ctx, meter_comparisons))
             for future, span in zip(futures, spans):
                 rows, tallies, records = future.result()
                 results.append((rows, tallies))
@@ -466,7 +472,8 @@ class ProcessPoolBackend(ExecutionBackend):
             raise
         local = ExecutionContext(catalog, batch_size=batch_size,
                                  check_orders=check_orders,
-                                 meter_timing=meter_timing)
+                                 meter_timing=meter_timing,
+                                 meter_comparisons=meter_comparisons)
         # Fold worker tallies in task (= shard) order: deterministic.
         for _, tallies in results:
             local.absorb_tallies(tallies)
@@ -487,7 +494,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _run_streaming(self, handle: _PoolHandle, plan, occurrences, tasks,
                        catalog: Catalog, batch_size, check_orders,
                        parent=None, meter_timing: bool = False,
-                       attempt: int = 0
+                       attempt: int = 0, meter_comparisons: bool = True
                        ) -> tuple[list[tuple], ExecutionContext]:
         """Chunked transfer: the merge consumes live shard streams.
 
@@ -506,7 +513,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 future = handle.pool.submit(
                     execute_subplan_stream, task, stream.stream_id,
                     batch_size, check_orders, self.chunk_rows,
-                    meter_timing, trace_ctx)
+                    meter_timing, trace_ctx, meter_comparisons)
                 future.add_done_callback(_stream_failer(stream))
                 streams.append(stream)
                 futures.append(future)
@@ -520,7 +527,8 @@ class ProcessPoolBackend(ExecutionBackend):
             root = assemble_streams(plan, occurrences, shard_streams, catalog)
             local = ExecutionContext(catalog, batch_size=batch_size,
                                      check_orders=check_orders,
-                                     meter_timing=meter_timing)
+                                     meter_timing=meter_timing,
+                                     meter_comparisons=meter_comparisons)
             # In streaming the "merge" span overlaps worker execution by
             # design — it covers first-chunk to last-row of the gather.
             with child_span("merge", shards=len(tasks),

@@ -308,14 +308,17 @@ class QueryServer:
                 # the given ctx): feedback checks estimated-vs-actual
                 # drift, tracing feeds EXPLAIN ANALYZE.  The ctx kwarg is
                 # only passed when needed — pre-ctx third-party backends
-                # keep working as long as both stay off.
+                # keep working as long as both stay off.  Both read only
+                # operator_rows/operator_times, so the ctx skips
+                # comparison counting.
                 ctx = None
                 run_kwargs: dict[str, Any] = {}
                 if self.feedback is not None or trace is not None:
                     ctx = ExecutionContext(
                         self.catalog, batch_size=batch_size,
                         meter_timing=(trace is not None
-                                      and self.obs.meter_timing))
+                                      and self.obs.meter_timing),
+                        meter_comparisons=False)
                     run_kwargs["ctx"] = ctx
                 try:
                     with child_span("execute",

@@ -159,12 +159,14 @@ class PreparedQuery:
         gathered by an ExchangeUnion; scans the optimizer already sharded
         under a MergeExchange are left as planned.  ``batch_size`` sets
         the rows-per-batch of a context created here (ignored when *ctx*
-        is supplied).
+        is supplied).  A context created here skips comparison counting
+        (nothing reads it); a supplied *ctx* keeps its own setting.
         """
         plan = self.bind(**binds)
         self.session.metrics.executions += 1
         ctx = ctx or ExecutionContext(self.session.catalog,
-                                      batch_size=batch_size)
+                                      batch_size=batch_size,
+                                      meter_comparisons=False)
         if parallelism is None:
             parallelism = self.parallelism
         executor = BatchedExecutor(parallelism=parallelism,
@@ -327,8 +329,10 @@ class QuerySession:
         """
         prepared = self.prepare(query, required_order,
                                 parallelism=parallelism)
+        # Reads rows and times only: no comparison counting, so the
+        # measured times are the served path's.
         ctx = ExecutionContext(self.catalog, batch_size=batch_size,
-                               meter_timing=True)
+                               meter_timing=True, meter_comparisons=False)
         start = time.perf_counter()
         rows = prepared.execute(ctx, use_threads=use_threads, **binds)
         wall = time.perf_counter() - start

@@ -15,7 +15,11 @@ are **bit-identical** across every execution configuration:
   declared sort order is verified at run time;
 * columnar kernels on vs off (``ExecutionContext(columnar=False)`` is
   the row-tuple batched engine), including a tally comparison: the
-  evaluation layout must not change any simulated cost counter.
+  evaluation layout must not change any simulated cost counter;
+* comparison metering on vs off (``meter_comparisons``) on the serial,
+  threads and process backends (gathered and streaming), at parallelism
+  1 and 4 and every batch size: same rows in the same order, every
+  tally but ``comparisons`` identical, and an unmetered count of 0.
 
 Every generated query ends with ``ORDER BY *all output columns*``, which
 totally orders the output up to fully-duplicate rows — interchangeable
@@ -45,6 +49,11 @@ from repro.expr.aggregates import AggSpec, count_star
 from repro.logical import Query
 from repro.logical.algebra import Annotator
 from repro.service import QuerySession
+from repro.service.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadBackend,
+)
 from repro.storage import Catalog, RangePartitioning, Schema, SystemParameters
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -199,6 +208,48 @@ def execution_mismatches(catalog: Catalog, query) -> list[str]:
     session.execute(query, ctx=rowwise_ctx)
     if columnar_ctx.tallies() != rowwise_ctx.tallies():
         bad.append("tallies/columnar-vs-row")
+    for backend in (SerialBackend(), ThreadBackend()):
+        bad += metering_mismatches(catalog, session, query, backend,
+                                   reference)
+    return bad
+
+
+def _tallies_but_comparisons(ctx: ExecutionContext) -> dict:
+    tallies = ctx.tallies()
+    del tallies["comparisons"], tallies["meter_comparisons"]
+    return tallies
+
+
+def metering_mismatches(catalog: Catalog, session: QuerySession, query,
+                        backend, reference: list[tuple]) -> list[str]:
+    """Run *query* on *backend* with a metered ctx, an unmetered ctx and
+    no ctx (the serving default) per parallelism × batch size (× transfer
+    protocol on the process backend); names of configs that break
+    metering parity."""
+    bad = []
+    protocols = (False, True) if backend.name == "process" else (None,)
+    for streaming in protocols:
+        if streaming is not None:
+            backend.streaming = streaming
+        for parallelism in (1, 4):
+            plan = session.prepare(query, parallelism=parallelism).plan
+            for batch_size in (1, 64, None):
+                name = f"{backend.name}/p{parallelism}/b{batch_size or 'def'}"
+                if streaming is not None:
+                    name += "/streaming" if streaming else "/gathered"
+                metered = ExecutionContext(catalog, batch_size=batch_size)
+                plain = ExecutionContext(catalog, batch_size=batch_size,
+                                         meter_comparisons=False)
+                runs = [backend.run_plan(plan, catalog, parallelism,
+                                         batch_size, ctx=ctx)
+                        for ctx in (metered, plain, None)]
+                if any(rows != reference for rows in runs):
+                    bad.append(f"metering/rows {name}")
+                if (_tallies_but_comparisons(metered)
+                        != _tallies_but_comparisons(plain)):
+                    bad.append(f"metering/tallies {name}")
+                if plain.comparisons.value != 0:
+                    bad.append(f"metering/unmetered-count {name}")
     return bad
 
 
@@ -351,6 +402,40 @@ def test_process_backend_columnar_parity():
         with QueryServer(catalog, backend="process", parallelism=4,
                          max_inflight=2, pool_workers=2) as server:
             assert server.execute(query).rows == reference, f"seed {seed}"
+
+
+def _corpus_case(seed: int):
+    rng = random.Random(seed)
+    catalog = random_catalog(rng)
+    return catalog, random_query(rng, catalog)
+
+
+def test_process_backend_metering_parity():
+    """Metering on vs off through the worker pool: the flag rides to the
+    workers with each task, gathered and streaming.  Four plain corpus
+    seeds plus the first four whose sharded plan has a MergeExchange
+    (about one seed in twenty), so the serving-side merge is covered."""
+    seeds = list(range(BASE_SEED + 100, BASE_SEED + 104))
+    merge_seeds = []
+    for seed in range(BASE_SEED, BASE_SEED + 400):
+        catalog, query = _corpus_case(seed)
+        plan = QuerySession(catalog).prepare(query, parallelism=4).plan
+        if any(node.op == "MergeExchange" for node in plan.walk()):
+            merge_seeds.append(seed)
+            if len(merge_seeds) == 4:
+                break
+    assert merge_seeds, "no corpus seed planned a MergeExchange"
+    for seed in seeds + merge_seeds:
+        catalog, query = _corpus_case(seed)
+        session = QuerySession(catalog)
+        reference = session.execute(query)
+        backend = ProcessPoolBackend(catalog, workers=2)
+        try:
+            bad = metering_mismatches(catalog, session, query, backend,
+                                      reference)
+        finally:
+            backend.close()
+        assert not bad, f"fuzz seed {seed}: {bad}\n{query.pretty()}"
 
 
 def test_fuzz_exercises_new_machinery():
