@@ -22,6 +22,14 @@ entries of counted keys) against one that does not (the serving path:
 ratios; ``check_regression.py`` gates it against a baseline measured
 on the re-baselining host.
 
+The third times the unmetered gather of materialised shards (what the
+process backend's serving-side merge does): ``MergeExchange``'s run
+merge — one stable ``list.sort`` over the concatenated sorted runs —
+against the heap merge it replaced (``heapq.merge`` keyed by
+``null_first_key``, with the same batching around it).  Its metric
+``gather_merge_speedup`` is the heap/run time ratio, gated by
+``check_regression.py`` against a measured baseline.
+
 Two modes, like the other benches:
 
 * ``pytest benchmarks/bench_kernels.py`` — full run with the shared
@@ -36,6 +44,7 @@ import math
 import random
 import sys
 import time
+from itertools import chain
 
 from repro.bench import format_table
 from repro.core.sort_order import SortOrder
@@ -44,8 +53,13 @@ from repro.engine import (
     MergeExchange,
     RowBatch,
     RowSource,
+    batches_of,
+    collect_rows,
+    flatten_batches,
+    merge_sorted_streams,
     sort_stream,
 )
+from repro.engine.iterators import null_first_key
 from repro.expr import And, col
 from repro.storage import Schema
 
@@ -194,6 +208,51 @@ def run_sort_benchmark(num_rows: int = 6_000, shards: int = 4,
 
 SORT_HEADERS = ["path", "counted ms", "plain ms", "speedup"]
 
+#: The run merge must beat the heap merge by this much (full-size run).
+GATHER_SPEEDUP_BAR = 1.3
+
+
+def run_gather_merge_benchmark(shard_rows: int = 3_000, shards: int = 4,
+                               repeats: int = 9) -> dict:
+    """Best-of-*repeats* wall time of an unmetered gather of *shards*
+    sorted runs of *shard_rows* rows each: the run merge as the engine
+    serves it vs the heap merge it replaced, interleaved so a drift in
+    host speed hits both sides alike.  Rows must match a stable
+    ``sorted()`` over the shard-order concatenation."""
+    rows = _sort_rows(shard_rows * shards)
+    positions = SORT_SCHEMA.positions(list(SORT_ORDER))
+
+    def key(row: tuple) -> tuple:
+        return tuple(row[p] for p in positions)
+
+    parts = [sorted(rows[i::shards], key=key) for i in range(shards)]
+    children = [RowSource(SORT_SCHEMA, part, output_order=SORT_ORDER)
+                for part in parts]
+    gather = MergeExchange(children, SORT_ORDER)
+    key_fn = null_first_key(positions)
+
+    def run_merge() -> list[tuple]:
+        return gather.run(ExecutionContext(meter_comparisons=False))
+
+    def heap_merge() -> list[tuple]:
+        ctx = ExecutionContext(meter_comparisons=False)
+        streams = [flatten_batches(c.execute_batches(ctx)) for c in children]
+        return collect_rows(batches_of(
+            merge_sorted_streams(streams, key_fn, ctx), ctx.batch_size))
+
+    expected = sorted(chain.from_iterable(parts), key=key)
+    assert run_merge() == heap_merge() == expected
+    best = {run_merge: float("inf"), heap_merge: float("inf")}
+    for _ in range(repeats):
+        for merge in best:
+            start = time.perf_counter()
+            merge()
+            best[merge] = min(best[merge], time.perf_counter() - start)
+    return {"num_rows": len(rows), "shards": shards,
+            "heap_ms": best[heap_merge] * 1000.0,
+            "run_ms": best[run_merge] * 1000.0,
+            "gather_merge_speedup": best[heap_merge] / best[run_merge]}
+
 
 def _sort_table_rows(result: dict) -> list:
     return [[c["name"], round(c["counted_ms"], 2), round(c["plain_ms"], 2),
@@ -229,6 +288,22 @@ def test_plain_sorts_beat_counted(benchmark, results_sink):
     assert result["sort_plain_speedup"] >= SORT_SPEEDUP_BAR, result
 
 
+def _gather_line(result: dict) -> str:
+    return (f"Gather of {result['shards']} sorted runs "
+            f"({result['num_rows']:,} rows): heap merge "
+            f"{result['heap_ms']:.2f} ms, run merge {result['run_ms']:.2f} "
+            f"ms; speedup {result['gather_merge_speedup']:.2f}x")
+
+
+def test_run_merge_beats_heap_merge(benchmark, results_sink):
+    result = benchmark.pedantic(run_gather_merge_benchmark, rounds=1,
+                                iterations=1)
+    results_sink(_gather_line(result))
+    benchmark.extra_info["gather_merge_speedup"] = \
+        result["gather_merge_speedup"]
+    assert result["gather_merge_speedup"] >= GATHER_SPEEDUP_BAR, result
+
+
 # -- standalone / CI smoke ---------------------------------------------------------------
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
@@ -243,8 +318,11 @@ def main(argv: list[str]) -> int:
         SORT_HEADERS, _sort_table_rows(sorts),
         title=f"Sort/merge — counted vs plain keys "
               f"({sorts['num_rows']:,} rows)"))
+    gather = run_gather_merge_benchmark(repeats=5 if smoke else 9)
+    print(_gather_line(gather))
     floor = 1.5 if smoke else KERNEL_SPEEDUP_BAR
     sort_floor = 1.5 if smoke else SORT_SPEEDUP_BAR
+    gather_floor = 1.1 if smoke else GATHER_SPEEDUP_BAR
     failed = False
     if result["kernel_speedup"] < floor:
         print(f"FAIL: kernel speedup {result['kernel_speedup']:.2f}x "
@@ -254,11 +332,16 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: plain sort/merge speedup "
               f"{sorts['sort_plain_speedup']:.2f}x < {sort_floor}x")
         failed = True
+    if gather["gather_merge_speedup"] < gather_floor:
+        print(f"FAIL: run merge speedup over the heap merge "
+              f"{gather['gather_merge_speedup']:.2f}x < {gather_floor}x")
+        failed = True
     if failed:
         return 1
     print(f"\nkernel speedup (geomean): {result['kernel_speedup']:.2f}x")
     print(f"plain sort/merge speedup (geomean): "
           f"{sorts['sort_plain_speedup']:.2f}x")
+    print(f"run merge speedup: {gather['gather_merge_speedup']:.2f}x")
     print("ok")
     return 0
 

@@ -40,7 +40,6 @@ from repro.expr import col, param
 from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import Query
 from repro.service import (
-    ProcessPoolBackend,
     QueryRejected,
     QueryServer,
     QuerySession,
@@ -239,60 +238,11 @@ def run_overload_benchmark(num_rows: int = 4_000, clients: int = 8,
     return result
 
 
-# -- streaming vs gathered shard transfer ------------------------------------------------
-def run_streaming_benchmark(num_rows: int = 12_000, repeats: int = 7,
-                            parallelism: int = 4,
-                            workers: int | None = None,
-                            chunk_rows: int = 512) -> dict:
-    """Tail latency of the sort-heavy report on the process pool with
-    chunked streaming transfer vs whole-result gathering.
-
-    Streaming lets the serving-side merge consume the fastest shard
-    while the slowest is still sorting, instead of waiting for every
-    worker's complete pickled row list; the improvement shows at p95,
-    where the straggler shard dominates the gathered path."""
-    workers = workers or min(4, os.cpu_count() or 1)
-    catalog = serving_catalog(num_rows)
-    session = QuerySession(catalog)
-    report = serving_workload()[0][0]
-    reference = session.execute(report)
-    plan = session.prepare(report, parallelism=parallelism).plan
-    result: dict = {"num_rows": num_rows, "repeats": repeats,
-                    "pool_workers": workers, "chunk_rows": chunk_rows}
-    for label, streaming in (("gathered", False), ("streaming", True)):
-        backend = ProcessPoolBackend(catalog, workers=workers,
-                                     streaming=streaming,
-                                     chunk_rows=chunk_rows)
-        try:
-            assert backend.run_plan(plan, catalog,
-                                    parallelism=parallelism) == reference
-            samples = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                rows = backend.run_plan(plan, catalog,
-                                        parallelism=parallelism)
-                samples.append(time.perf_counter() - start)
-                assert rows == reference
-            result[label] = {
-                "p50_ms": _percentile(samples, 0.50) * 1e3,
-                "p95_ms": _percentile(samples, 0.95) * 1e3,
-                "mean_ms": sum(samples) / len(samples) * 1e3,
-            }
-        finally:
-            backend.close()
-    result["streaming_p95_improvement"] = (
-        result["gathered"]["p95_ms"] / result["streaming"]["p95_ms"])
-    return result
-
-
 HEADERS = ["backend", "queries", "qps", "p50 ms", "p95 ms", "rejections",
            "cache hit rate", "utilization"]
 
 OVERLOAD_HEADERS = ["clients", "requests", "succeeded", "client failures",
                     "goodput", "server rejections", "retries"]
-
-STREAMING_HEADERS = ["transfer", "p50 ms", "p95 ms", "mean ms"]
-
 
 def _overload_rows(result: dict) -> list:
     return [[mode, result[mode]["requests"], result[mode]["succeeded"],
@@ -300,13 +250,6 @@ def _overload_rows(result: dict) -> list:
              round(result[mode]["goodput"], 3),
              result[mode]["server_rejections"], result[mode]["retries"]]
             for mode in ("raw", "cooperative")]
-
-
-def _streaming_rows(result: dict) -> list:
-    return [[label, round(result[label]["p50_ms"], 1),
-             round(result[label]["p95_ms"], 1),
-             round(result[label]["mean_ms"], 1)]
-            for label in ("gathered", "streaming")]
 
 
 def _rows(result: dict) -> list:
@@ -363,23 +306,6 @@ def test_overload_cooperative_goodput(benchmark, results_sink):
     assert result["overload_client_failures"] == 0
 
 
-def test_streaming_tail_latency(benchmark, results_sink):
-    result = benchmark.pedantic(
-        lambda: run_streaming_benchmark(num_rows=8_000, repeats=5),
-        rounds=1, iterations=1)
-    results_sink(format_table(
-        STREAMING_HEADERS, _streaming_rows(result),
-        title=f"Shard transfer — gathered vs streaming "
-              f"({result['pool_workers']} workers, "
-              f"{result['chunk_rows']}-row chunks)"))
-    benchmark.extra_info["streaming"] = {
-        "streaming_p95_improvement": result["streaming_p95_improvement"]}
-    # Rows are asserted identical inside the run; the latency ratio is
-    # informational at smoke size (wall-clock, shared runners) — the
-    # regression gate bounds it against a conservative baseline.
-    assert result["streaming_p95_improvement"] > 0.0
-
-
 # -- standalone / CI smoke ---------------------------------------------------------------
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
@@ -422,18 +348,6 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: cooperative goodput "
               f"{overload['overload_goodput']:.2f} < 0.9 under overload")
         return 1
-
-    streaming = run_streaming_benchmark(
-        num_rows=8_000 if smoke else 20_000,
-        repeats=5 if smoke else 9)
-    print()
-    print(format_table(
-        STREAMING_HEADERS, _streaming_rows(streaming),
-        title=f"Shard transfer — gathered vs streaming "
-              f"({streaming['pool_workers']} workers, "
-              f"{streaming['chunk_rows']}-row chunks)"))
-    print(f"streaming p95 improvement: "
-          f"{streaming['streaming_p95_improvement']:.2f}x")
 
     print("\nok")
     return 0

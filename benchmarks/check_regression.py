@@ -13,8 +13,8 @@ simulated blocks read) are gated tightly by construction; the
 wall-clock metrics (batched-vs-row, columnar-vs-row-engine and
 kernel-vs-closure speedups) are gated against *conservative* baselines
 so shared-runner noise does not flap the build.  The counted-vs-plain
-sort/merge ratio is gated against the value measured on the
-re-baselining host.
+sort/merge ratio and the run-merge-vs-heap-merge gather ratio are gated
+against the values measured on the re-baselining host.
 
 Usage::
 
@@ -44,16 +44,16 @@ from bench_scalability import (  # noqa: E402
     run_shard_enforcer_benchmark,
     run_sharded_join_benchmark,
 )
-from bench_kernels import run_kernel_benchmark, run_sort_benchmark  # noqa: E402
-from bench_serving import (  # noqa: E402
-    run_overload_benchmark,
-    run_serving_benchmark,
-    run_streaming_benchmark,
+from bench_kernels import (  # noqa: E402
+    run_gather_merge_benchmark,
+    run_kernel_benchmark,
+    run_sort_benchmark,
 )
+from bench_serving import run_overload_benchmark, run_serving_benchmark  # noqa: E402
 
 #: Gated wall-clock ratios that only mean something on a multi-core
 #: host; on one core they are collected but exempted from the gate.
-MULTICORE_ONLY = ("serving_speedup", "streaming_p95_improvement")
+MULTICORE_ONLY = ("serving_speedup",)
 
 
 def collect_metrics() -> tuple[dict[str, float], set[str]]:
@@ -97,6 +97,11 @@ def collect_metrics() -> tuple[dict[str, float], set[str]]:
     # its baseline is the value measured by the last --update.
     sorts = run_sort_benchmark(repeats=5)
     metrics["sort_plain_speedup"] = round(sorts["sort_plain_speedup"], 3)
+    # The serving-side gather of materialised shards: one stable sort
+    # over the concatenated runs vs the heap merge (measured baseline).
+    gather = run_gather_merge_benchmark(repeats=5)
+    metrics["gather_merge_speedup"] = round(
+        gather["gather_merge_speedup"], 3)
 
     # Shard-aware enforcement: simulated cost units are deterministic, so
     # both absolute costs and the post-union/merge advantage gate tightly.
@@ -158,17 +163,6 @@ def collect_metrics() -> tuple[dict[str, float], set[str]]:
     metrics["obs_disabled_throughput_ratio"] = round(
         obs["obs_disabled_throughput_ratio"], 3)
 
-    # Streaming shard transfer: tail latency must not regress against
-    # whole-result gathering; the overlap win needs real cores to show.
-    streamed = run_streaming_benchmark(num_rows=8_000, repeats=5)
-    if serving["cores"] >= 2:
-        metrics["streaming_p95_improvement"] = round(
-            streamed["streaming_p95_improvement"], 3)
-    else:
-        skipped.add("streaming_p95_improvement")
-        print(f"  (single-core host: streaming_p95_improvement "
-              f"{streamed['streaming_p95_improvement']:.2f}x collected "
-              "but not gated)")
     return metrics, skipped
 
 
@@ -220,10 +214,6 @@ def write_baseline(metrics: dict[str, float]) -> None:
               "serving_speedup": round(1.5 / (1.0 - 0.20), 2),
               "columnar_speedup": round(1.5 / (1.0 - 0.20), 2),
               "kernel_speedup": round(1.5 / (1.0 - 0.20), 2),
-              # Floor 0.85: streaming transfer may not cost more than
-              # 15% at p95 vs gathering (the overlap win itself is
-              # wall-clock noisy on shared runners).
-              "streaming_p95_improvement": round(0.85 / (1.0 - 0.20), 2),
               # Observability overhead floors: 1.125 * 0.80 = 0.90
               # (tracing keeps >= 90% of untraced throughput) and
               # 1.225 * 0.80 = 0.98 (the disabled path is <= 2% tax).
@@ -236,10 +226,10 @@ def write_baseline(metrics: dict[str, float]) -> None:
             ("adaptive_replan_advantage",
              "cache_hit_rate", "batch_speedup", "columnar_speedup",
              "kernel_speedup", "serving_speedup", "sort_plain_speedup",
+             "gather_merge_speedup",
              "serving_cache_hit_rate", "shard_merge_advantage",
              "sharded_join_advantage", "join_order_search_ratio",
              "overload_goodput", "overload_raw_shed",
-             "streaming_p95_improvement",
              "obs_enabled_throughput_ratio",
              "obs_disabled_throughput_ratio"))
         if name in pinned:

@@ -14,8 +14,7 @@ executing queries; this one shows the tier above it — a
 * the **process-pool backend** ships the per-shard subplans the
   optimizer placed under a MergeExchange to worker processes — the one
   execution mode where the sharded enforcers use multiple cores — and
-  streams each shard's rows back batch-at-a-time, so the serving-side
-  merge starts before the slowest shard finishes;
+  merges the sorted shard results it gets back with one stable sort;
 * when the server sheds load it answers with a ``retry_after`` hint,
   and :class:`RetryingClient` honours it — jittered backoff instead of
   a resubmit storm.
@@ -114,8 +113,8 @@ def main() -> None:
         stats = server.stats()
         for key in ("submitted", "completed", "rejected_queue_full",
                     "rejected_quota", "rejected_circuit", "timeouts",
-                    "circuit_state", "streamed_queries", "streamed_chunks",
-                    "subplan_cache_hits", "cache_hits", "cache_misses",
+                    "circuit_state", "subplan_cache_hits",
+                    "subplan_cache_misses", "cache_hits", "cache_misses",
                     "sessions", "shard_merge_plans", "latency_p50_ms",
                     "latency_p95_ms", "worker_utilization"):
             value = stats[key]

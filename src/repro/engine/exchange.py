@@ -10,9 +10,11 @@ so everything above the exchange is oblivious to the sharding.
 
 :class:`MergeExchange` is the *order-preserving* gather: its children
 each deliver rows already sorted on the merge order (typically per-shard
-SRS/MRS enforcers over the shards), and it performs a stable k-way heap
-merge — ties go to the lowest shard index, so the output is bit-identical
-to a stable full sort of the shards concatenated in shard order.  This
+SRS/MRS enforcers over the shards), and it performs a stable k-way merge
+— ties go to the lowest shard index, so the output is bit-identical to a
+stable full sort of the shards concatenated in shard order (which is
+exactly how it merges materialised shards when nobody counts
+comparisons).  This
 is what lets a required order be enforced *below* the exchange, shard by
 shard, instead of by one big post-union sort (the shard-aware enforcer
 placement; see docs/execution.md).
@@ -30,16 +32,23 @@ from __future__ import annotations
 
 import copy
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from .basic import Compute, Filter, Project, Sort
 from .batch import RowBatch, batches_of, flatten_batches
 from .context import ExecutionContext
-from .iterators import Operator, assert_sorted_rows, null_first_key
+from .iterators import (
+    Operator,
+    assert_sorted_batches,
+    null_first_key,
+    plain_key,
+)
 from .scans import (
     ClusteringIndexScan,
     RangePartitionScan,
+    RowSource,
     ShardedScan,
     TableScan,
     range_shardable,
@@ -157,8 +166,12 @@ class MergeExchange(Operator):
     concatenation of the children (in child order) would produce.  On a
     metered context each merge comparison is tallied once (see
     :func:`~repro.engine.sorting.merge_sorted_streams`), independent of
-    the batch size; unmetered, the merge is ``heapq.merge`` on plain
-    keys.
+    the batch size.  Unmetered, children that are materialised
+    :class:`~repro.engine.scans.RowSource` rows (the worker results a
+    process-pool gather grafts back) are merged by one stable
+    ``list.sort`` over their concatenation (:func:`_run_merge`); lazy
+    children keep ``heapq.merge`` on plain keys, so the merge stays
+    pipelined and pulls from each child only what it emits.
     """
 
     name = "MergeExchange"
@@ -181,11 +194,11 @@ class MergeExchange(Operator):
         super().__init__(first, order, children)
         self.max_workers = max_workers
         #: A planner-declared disjointness guarantee.  Re-assembled
-        #: serving gathers put :class:`~repro.engine.subplan.RowSource` /
-        #: ``StreamSource`` children under the exchange, which carry no
-        #: partition bounds for :func:`partitions_disjoint_on` to
-        #: re-detect — the plan node's ``disjoint`` arg is the only
-        #: surviving witness, so lowering and re-assembly pass it here.
+        #: serving gathers put :class:`~repro.engine.scans.RowSource`
+        #: children under the exchange, which carry no partition bounds
+        #: for :func:`partitions_disjoint_on` to re-detect — the plan
+        #: node's ``disjoint`` arg is the only surviving witness, so
+        #: lowering and re-assembly pass it here.
         self.declared_disjoint = declared_disjoint
 
     @property
@@ -200,25 +213,25 @@ class MergeExchange(Operator):
                 or partitions_disjoint_on(self.children, self.output_order))
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        streams = self._shard_streams(ctx)
-        if ctx.check_orders:
-            positions = self.schema.positions(list(self.output_order))
-            streams = [assert_sorted_rows(s, positions,
-                                          f"MergeExchange input shard {i}")
-                       for i, s in enumerate(streams)]
+        positions = self.schema.positions(list(self.output_order))
+        shards = self._shard_batches(ctx, positions)
         if self.partition_disjoint:
             # Disjoint ascending partitions: concatenating the per-shard
             # sorted streams is already the global order — no comparisons.
-            def concatenated() -> Iterator[tuple]:
-                for stream in streams:
-                    yield from stream
-            return batches_of(concatenated(), ctx.batch_size)
-        key_fn = null_first_key(self.schema.positions(list(self.output_order)))
-        merged = merge_sorted_streams(streams, key_fn, ctx)
+            rows = chain.from_iterable(map(flatten_batches, shards))
+            return batches_of(rows, ctx.batch_size)
+        if not ctx.meter_comparisons and all(
+                isinstance(c, RowSource) and not c.charge_io
+                for c in self.children):
+            return _run_merge(shards, positions, ctx.batch_size)
+        merged = merge_sorted_streams([flatten_batches(s) for s in shards],
+                                      null_first_key(positions), ctx)
         return batches_of(merged, ctx.batch_size)
 
-    def _shard_streams(self, ctx: ExecutionContext) -> list[Iterator[tuple]]:
-        """One sorted row stream per child, in shard order.
+    def _shard_batches(self, ctx: ExecutionContext,
+                       positions: Sequence[int]) -> list[Iterable[RowBatch]]:
+        """One sorted batch stream per child, in shard order, each
+        verified under ``ctx.check_orders``.
 
         Serial: lazy generators, so the merge stays pipelined.  Parallel:
         the same eager :func:`_drain_shards` discipline as
@@ -226,17 +239,52 @@ class MergeExchange(Operator):
         merge (which runs on the calling thread) touches a single row.
         """
         if self.max_workers > 1 and len(self.children) > 1:
-            return [flatten_batches(batches)
-                    for batches in _drain_shards(self.children, ctx,
-                                                 self.max_workers)]
-        return [flatten_batches(child.execute_batches(ctx))
-                for child in self.children]
+            shards: list[Iterable[RowBatch]] = list(
+                _drain_shards(self.children, ctx, self.max_workers))
+        else:
+            shards = [child.execute_batches(ctx) for child in self.children]
+        if ctx.check_orders:
+            shards = [assert_sorted_batches(s, positions,
+                                            f"MergeExchange input shard {i}")
+                      for i, s in enumerate(shards)]
+        return shards
 
     def details(self) -> str:
         suffix = f", {self.max_workers} workers" if self.max_workers > 1 else ""
         if self.partition_disjoint:
             suffix += ", disjoint concat"
         return f"{len(self.children)} shards on {self.output_order}{suffix}"
+
+
+def _run_merge(shards: Sequence[Iterable[RowBatch]], positions: Sequence[int],
+               batch_size: int) -> Iterator[RowBatch]:
+    """Merge in-memory sorted runs with one stable sort.
+
+    The runs are concatenated in shard order; Timsort finds them and
+    gallop-merges them in C, and stability hands key ties to the lowest
+    shard — the rows :func:`merge_sorted_streams` would emit.  The sort
+    first tries the bare C-level key: it raises ``TypeError`` as soon as
+    it compares a NULL with a value, and a sort that finishes only ever
+    compared keys the NULL-first order agrees with.  On a NULL the
+    untouched concatenation is sorted again with
+    :func:`~repro.engine.iterators.null_first_key`.  (Scanning every key
+    for NULLs up front, as :func:`~repro.engine.iterators.load_key`
+    does, would spend about 40% of what the run merge saves over the
+    heap merge.)
+
+    Only for unmetered merges over materialised children: it reads every
+    row before emitting one, which a lazy child must not be made to do
+    (draining it early changes what it charges).
+    """
+    rows: list[tuple] = []
+    for batches in shards:
+        for batch in batches:
+            rows.extend(batch.rows)
+    try:
+        merged = sorted(rows, key=plain_key(positions))
+    except TypeError:
+        merged = sorted(rows, key=null_first_key(positions))
+    yield from batches_of(merged, batch_size)
 
 
 def shard_scans(op: Operator, shard_count: int, max_workers: int = 1) -> Operator:

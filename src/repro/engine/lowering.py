@@ -79,8 +79,8 @@ def meter_for(plan) -> Optional[tuple]:
 
     Scan tags embed the table name (``"TableScan:orders"``); everything
     else meters under its op name.  Estimates are rounded to integers so
-    per-shard contributions sum commutatively — gathered and streaming
-    absorb orders must produce identical tallies.
+    per-shard contributions sum commutatively — tallies must not depend
+    on the order in which shard contexts are absorbed.
     """
     stats = getattr(plan, "stats", None)
     if stats is None:

@@ -24,7 +24,7 @@ from .physical_selection import (
     shardable_enforcement_input,
 )
 from .pipeline import OptimizationPipeline
-from .pre_check import OptimizerConfig, PreCheckError, run_pre_check
+from .pre_check import OptimizerConfig, PreCheckError, configure, run_pre_check
 
 __all__ = [
     "ENUMERATORS",
@@ -38,6 +38,7 @@ __all__ = [
     "SimpliSquaredEnumerator",
     "bind_expression",
     "bind_plan",
+    "configure",
     "enforcement_chain_scan",
     "expression_params",
     "make_enumerator",

@@ -13,12 +13,12 @@ fully-resolved configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union as TUnion
+from typing import Any, Optional, Union as TUnion
 
 from ...core.interesting import OrderStrategy, make_strategy
 from .join_enumeration import JoinOrderEnumerator, make_enumerator
 
-__all__ = ["OptimizerConfig", "PreCheckError", "run_pre_check"]
+__all__ = ["OptimizerConfig", "PreCheckError", "configure", "run_pre_check"]
 
 
 @dataclass
@@ -56,6 +56,22 @@ class OptimizerConfig:
 
 class PreCheckError(ValueError):
     """An :class:`OptimizerConfig` failed stage-1 validation."""
+
+
+def configure(strategy: str = "pyro-o",
+              config: Optional[OptimizerConfig] = None,
+              **overrides: Any) -> OptimizerConfig:
+    """*config* (default: the one for *strategy*) with keyword
+    *overrides* applied, as a private copy.  An option the config does
+    not have raises :class:`TypeError` here, where the caller passed it,
+    not later wherever the config is first used."""
+    config = (OptimizerConfig(strategy=strategy) if config is None
+              else replace(config))  # never mutate the caller's config
+    for key, value in overrides.items():
+        if not hasattr(config, key):
+            raise TypeError(f"unknown optimizer option {key!r}")
+        setattr(config, key, value)
+    return config
 
 
 def run_pre_check(config: OptimizerConfig

@@ -36,7 +36,6 @@ join-order candidate tree and keeping the cheapest plan.  See
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Optional
 
 from ..core.interesting import ForcedOrderStrategy, OrderStrategy
@@ -51,6 +50,7 @@ from .pipeline import (
     OptimizationPipeline,
     OptimizerConfig,
     PhysicalSelection,
+    configure,
     parameterize,
 )
 # Re-exported for compatibility: these lived here before the pipeline
@@ -87,14 +87,7 @@ class Optimizer:
 
     def __init__(self, catalog: Catalog, strategy: str = "pyro-o",
                  config: Optional[OptimizerConfig] = None, **overrides) -> None:
-        if config is None:
-            config = OptimizerConfig(strategy=strategy)
-        else:
-            config = replace(config)  # never mutate the caller's config
-        for key, value in overrides.items():
-            if not hasattr(config, key):
-                raise TypeError(f"unknown optimizer option {key!r}")
-            setattr(config, key, value)
+        config = configure(strategy, config, **overrides)
         self.catalog = catalog
         #: Stage 1 runs here, once: every later entry point — optimize,
         #: refinement, cost_of — reuses this pipeline (same resolved

@@ -21,14 +21,14 @@ pipelines are cut only at exchange boundaries, workers run the exact
 per-shard plans, and the serving-side gather performs the same stable
 merge (ties to the lowest shard index) the local exchange would.
 
-The process backend additionally supports **streaming transfer**
-(default on): sharded tasks ship their rows back chunk by chunk on a
-shared results queue instead of one whole-row-list pickle per future, so
-the serving-side merge starts on the fastest shard's first chunk while
-the slowest shard is still sorting, and unpickling overlaps with worker
-execution.  Workers keep a warm LRU of lowered subplans keyed by task
-fingerprint, so the plan-cache steady state (the same physical plan
-served repeatedly) skips lowering on warm workers.
+The process backend has one transfer protocol: each task's future
+returns the worker's whole row list, and the serving-side gather runs
+once every shard has landed.  A merge needs every row before it can
+finish, so there is little for chunked transfer to overlap; unmetered,
+the gather merges the shards' sorted runs with one C-level stable sort.
+Workers keep a warm LRU of lowered subplans keyed by task fingerprint,
+so the plan-cache steady state (the same physical plan served
+repeatedly) skips lowering on warm workers.
 """
 
 from __future__ import annotations
@@ -36,18 +36,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Optional
 
 from ..engine.context import ExecutionContext
 from ..engine.executor import BatchedExecutor
 from ..obs.trace import active_span, child_span
 from ..engine.subplan import (
-    ShardStream,
     assemble,
-    assemble_streams,
     execute_subplan,
-    execute_subplan_stream,
     init_worker,
     shard_subplans,
 )
@@ -117,90 +114,17 @@ class ThreadBackend(SerialBackend):
         super().__init__(use_threads=True)
 
 
-class _StreamRouter:
-    """Owns one pool's shared results queue and fans chunks out to the
-    per-shard :class:`ShardStream` buffers.
-
-    One daemon thread per pool generation: items are ``(stream_id, seq,
-    payload)`` tuples (see
-    :func:`~repro.engine.subplan.execute_subplan_stream`); unknown
-    stream ids — chunks from an attempt that was cancelled or failed —
-    are dropped on the floor.  A queue-level failure (e.g. a worker
-    killed mid-pickle corrupting the pipe) fails every registered stream
-    so no consumer blocks forever.
-    """
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-        self._streams: dict[int, ShardStream] = {}
-        self._lock = threading.Lock()
-        self._next_id = 0
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="shard-stream-router")
-        self._thread.start()
-
-    def register(self) -> ShardStream:
-        with self._lock:
-            stream = ShardStream(self._next_id)
-            self._streams[stream.stream_id] = stream
-            self._next_id += 1
-            return stream
-
-    def unregister(self, stream_id: int) -> None:
-        with self._lock:
-            self._streams.pop(stream_id, None)
-
-    def _run(self) -> None:
-        while True:
-            try:
-                item = self.queue.get()
-            except (EOFError, OSError, ValueError) as exc:
-                self._fail_all(exc)
-                return
-            if item is None:  # stop sentinel from stop()
-                self._fail_all(RuntimeError("stream router stopped"))
-                return
-            stream_id, seq, payload = item
-            with self._lock:
-                stream = self._streams.get(stream_id)
-            if stream is None:
-                continue  # stale chunk from a cancelled/failed attempt
-            if seq == -1:
-                stream.finish(payload)
-                self.unregister(stream_id)
-            else:
-                stream.put(payload)
-
-    def _fail_all(self, exc: BaseException) -> None:
-        with self._lock:
-            streams, self._streams = list(self._streams.values()), {}
-        for stream in streams:
-            stream.fail(exc)
-
-    def stop(self) -> None:
-        """Post the stop sentinel (drained FIFO, so items already queued
-        are still routed first) and join the router thread."""
-        try:
-            self.queue.put(None)
-        except (OSError, ValueError):  # queue already torn down
-            pass
-        self._thread.join(timeout=5.0)
-
-
 class _PoolHandle:
-    """One pool generation: executor + results queue + router + the
-    catalog version it was built against.  Handles are immutable and
-    swapped atomically under the backend lock, so a dispatch thread
-    holding an old generation keeps a consistent (pool, queue, router)
-    triple even while a refresh installs the next one."""
+    """One pool generation: the executor and the catalog version it was
+    built against.  Handles are immutable and swapped atomically under
+    the backend lock, so a dispatch thread holding an old generation
+    keeps a consistent pair even while a refresh installs the next
+    one."""
 
-    __slots__ = ("pool", "queue", "router", "version")
+    __slots__ = ("pool", "version")
 
-    def __init__(self, pool: ProcessPoolExecutor, queue, router: _StreamRouter,
-                 version) -> None:
+    def __init__(self, pool: ProcessPoolExecutor, version) -> None:
         self.pool = pool
-        self.queue = queue
-        self.router = router
         self.version = version
 
 
@@ -244,25 +168,18 @@ class ProcessPoolBackend(ExecutionBackend):
     MAX_RETRIES = 2
 
     def __init__(self, catalog: Catalog, workers: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 streaming: bool = True, chunk_rows: int = 2048) -> None:
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
+                 mp_context: Optional[str] = None) -> None:
         self.catalog = catalog
         self.workers = workers or os.cpu_count() or 1
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else None
         self._mp_context = mp_context
-        self.streaming = streaming
-        self.chunk_rows = chunk_rows
         self._lock = threading.Lock()
         self._handle: Optional[_PoolHandle] = None
         self._forked_once = False
         # Telemetry (under self._lock).
         self._rebuilds = 0
-        self._streamed_chunks = 0
-        self._streamed_queries = 0
         self._cache_hits = 0
         self._cache_misses = 0
         self._ensure_pool()
@@ -283,20 +200,18 @@ class ProcessPoolBackend(ExecutionBackend):
         running on the current generation)."""
         payload = catalog_payload(self.catalog)
         context = self._build_context()
-        queue = (context or multiprocessing).Queue()
         pool = ProcessPoolExecutor(
             max_workers=self.workers, mp_context=context,
-            initializer=init_worker, initargs=(payload, queue))
+            initializer=init_worker, initargs=(payload,))
         try:
             # Touch every worker now, not at first traffic.
             list(pool.map(_noop, range(self.workers)))
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        router = _StreamRouter(queue)
         if self._mp_context == "fork":
             self._forked_once = True
-        return _PoolHandle(pool, queue, router, payload.version_token)
+        return _PoolHandle(pool, payload.version_token)
 
     def _ensure_pool(self) -> _PoolHandle:
         with self._lock:
@@ -352,7 +267,6 @@ class ProcessPoolBackend(ExecutionBackend):
             handle, self._handle = self._handle, None
         if handle is not None:
             handle.pool.shutdown(wait=True, cancel_futures=True)
-            handle.router.stop()
 
     # -- execution -------------------------------------------------------------------
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
@@ -372,16 +286,10 @@ class ProcessPoolBackend(ExecutionBackend):
         while True:
             handle = self._ensure_pool()
             try:
-                if self.streaming and occurrences:
-                    rows, local = self._run_streaming(
-                        handle, plan, occurrences, tasks, catalog,
-                        batch_size, check_orders, parent, meter_timing,
-                        attempts, meter_comparisons)
-                else:
-                    rows, local = self._run_gathered(
-                        handle, occurrences, tasks, plan, catalog,
-                        batch_size, check_orders, parent, meter_timing,
-                        attempts, meter_comparisons)
+                rows, local = self._run_gathered(
+                    handle, occurrences, tasks, plan, catalog, parallelism,
+                    batch_size, check_orders, parent, meter_timing,
+                    attempts, meter_comparisons)
                 break
             except BrokenExecutor:
                 # A worker died (OOM, signal).  This attempt's futures
@@ -440,12 +348,15 @@ class ProcessPoolBackend(ExecutionBackend):
             parent.trace.attach(records, base_offset=span.start)
 
     def _run_gathered(self, handle: _PoolHandle, occurrences, tasks, plan,
-                      catalog: Catalog, batch_size, check_orders,
-                      parent=None, meter_timing: bool = False,
+                      catalog: Catalog, parallelism: int, batch_size,
+                      check_orders, parent=None, meter_timing: bool = False,
                       attempt: int = 0, meter_comparisons: bool = True
                       ) -> tuple[list[tuple], ExecutionContext]:
         """Whole-result transfer: one future per task, each returning
-        its full row list; the gather runs after every shard lands."""
+        its full row list; the gather runs after every shard lands.
+        Workers and the local gather run at *parallelism*, so every full
+        scan left in a task or above the exchange is sharded exactly as
+        the serial backend shards it, and charges the same blocks."""
         futures = []
         spans = []
         results = []
@@ -458,10 +369,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 spans.append(span)
                 futures.append(handle.pool.submit(
                     execute_subplan, task, batch_size, check_orders,
-                    meter_timing, trace_ctx, meter_comparisons))
+                    meter_timing, trace_ctx, meter_comparisons,
+                    parallelism))
             for future, span in zip(futures, spans):
-                rows, tallies, records = future.result()
-                results.append((rows, tallies))
+                rows, tallies, cache_hit, records = future.result()
+                results.append((rows, tallies, cache_hit))
                 self._attach_worker_spans(parent, span, records)
         except BaseException as exc:
             # Cancel-before-rebuild: never leave the first attempt's
@@ -475,8 +387,12 @@ class ProcessPoolBackend(ExecutionBackend):
                                  meter_timing=meter_timing,
                                  meter_comparisons=meter_comparisons)
         # Fold worker tallies in task (= shard) order: deterministic.
-        for _, tallies in results:
+        for _, tallies, _ in results:
             local.absorb_tallies(tallies)
+        hits = sum(1 for _, _, cache_hit in results if cache_hit)
+        with self._lock:
+            self._cache_hits += hits
+            self._cache_misses += len(results) - hits
         if not occurrences:
             return results[0][0], local
         shard_rows = []
@@ -487,74 +403,8 @@ class ProcessPoolBackend(ExecutionBackend):
             cursor += width
         root = assemble(plan, occurrences, shard_rows, catalog)
         with child_span("merge", shards=len(tasks)) as merge_span:
-            rows = BatchedExecutor().run(root, local)
+            rows = BatchedExecutor(parallelism=parallelism).run(root, local)
             merge_span.tag(rows=len(rows))
-        return rows, local
-
-    def _run_streaming(self, handle: _PoolHandle, plan, occurrences, tasks,
-                       catalog: Catalog, batch_size, check_orders,
-                       parent=None, meter_timing: bool = False,
-                       attempt: int = 0, meter_comparisons: bool = True
-                       ) -> tuple[list[tuple], ExecutionContext]:
-        """Chunked transfer: the merge consumes live shard streams.
-
-        Stream ids are unique per attempt (the router hands them out),
-        so chunks from a failed attempt still in the queue can never
-        corrupt a retry's buffers — the router drops unknown ids.
-        """
-        streams: list[ShardStream] = []
-        futures = []
-        spans = []
-        try:
-            for i, task in enumerate(tasks):
-                stream = handle.router.register()
-                span, trace_ctx = self._dispatch_span(parent, i, attempt)
-                spans.append(span)
-                future = handle.pool.submit(
-                    execute_subplan_stream, task, stream.stream_id,
-                    batch_size, check_orders, self.chunk_rows,
-                    meter_timing, trace_ctx, meter_comparisons)
-                future.add_done_callback(_stream_failer(stream))
-                streams.append(stream)
-                futures.append(future)
-
-            shard_streams = []
-            cursor = 0
-            for node in occurrences:
-                width = len(node.children)
-                shard_streams.append(streams[cursor:cursor + width])
-                cursor += width
-            root = assemble_streams(plan, occurrences, shard_streams, catalog)
-            local = ExecutionContext(catalog, batch_size=batch_size,
-                                     check_orders=check_orders,
-                                     meter_timing=meter_timing,
-                                     meter_comparisons=meter_comparisons)
-            # In streaming the "merge" span overlaps worker execution by
-            # design — it covers first-chunk to last-row of the gather.
-            with child_span("merge", shards=len(tasks),
-                            streaming=True) as merge_span:
-                rows = BatchedExecutor().run(root, local)
-                merge_span.tag(rows=len(rows))
-        except BaseException as exc:
-            for future in futures:
-                future.cancel()
-            for stream in streams:
-                handle.router.unregister(stream.stream_id)
-            self._close_failed_spans(parent, spans, exc)
-            raise
-        # The merge consumed every stream to its DONE sentinel, so the
-        # worker tallies are in hand; fold them in task order, after the
-        # merge's own charges — the sums are commutative, so totals are
-        # identical to the gathered path's fold-then-merge order.
-        for stream, span in zip(streams, spans):
-            local.absorb_tallies(stream.tallies)
-            self._attach_worker_spans(parent, span, stream.spans)
-        with self._lock:
-            self._streamed_queries += 1
-            self._streamed_chunks += sum(s.chunks_received for s in streams)
-            hits = sum(1 for s in streams if s.cache_hit)
-            self._cache_hits += hits
-            self._cache_misses += len(streams) - hits
         return rows, local
 
     def describe(self) -> dict:
@@ -563,11 +413,7 @@ class ProcessPoolBackend(ExecutionBackend):
             out = {
                 "backend": self.name,
                 "pool_workers": self.workers,
-                "streaming": self.streaming,
-                "chunk_rows": self.chunk_rows,
                 "pool_rebuilds": self._rebuilds,
-                "streamed_queries": self._streamed_queries,
-                "streamed_chunks": self._streamed_chunks,
                 "subplan_cache_hits": self._cache_hits,
                 "subplan_cache_misses": self._cache_misses,
             }
@@ -576,36 +422,17 @@ class ProcessPoolBackend(ExecutionBackend):
         return out
 
 
-def _stream_failer(stream: ShardStream):
-    """Done-callback failing *stream* when its producing task cannot
-    deliver the DONE sentinel (error or cancellation); a no-op for tasks
-    that finished cleanly (the sentinel already closed the stream)."""
-    def callback(future) -> None:
-        if future.cancelled():
-            stream.fail(CancelledError("shard task cancelled"))
-            return
-        exc = future.exception()
-        if exc is not None:
-            stream.fail(exc)
-    return callback
-
-
 def _retire_handle_async(handle: _PoolHandle) -> None:
     """Retire an old pool generation without blocking the swapper.
 
     In-flight futures on the old pool are allowed to drain (dispatch
-    threads may still be waiting on them); the router stops only after
-    ``shutdown(wait=True)`` returns, i.e. after every worker exited — so
-    streaming queries on the old generation route to completion first.
-    A broken pool's futures were cancelled by the failing ``run_plan``
-    before the rebuild, so retirement is prompt there too.
+    threads may still be waiting on them).  A broken pool's futures were
+    cancelled by the failing ``run_plan`` before the rebuild, so
+    retirement is prompt there too.
     """
-    def retire() -> None:
-        handle.pool.shutdown(wait=True, cancel_futures=False)
-        handle.router.stop()
-
-    threading.Thread(target=retire, daemon=True,
-                     name="pool-retirement").start()
+    threading.Thread(target=handle.pool.shutdown,
+                     kwargs={"wait": True, "cancel_futures": False},
+                     daemon=True, name="pool-retirement").start()
 
 
 def _noop(_: int) -> None:
@@ -614,9 +441,7 @@ def _noop(_: int) -> None:
 
 def make_backend(kind, catalog: Catalog,
                  pool_workers: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 streaming: bool = True,
-                 chunk_rows: int = 2048) -> ExecutionBackend:
+                 mp_context: Optional[str] = None) -> ExecutionBackend:
     """Resolve a backend spec: an instance passes through, a name
     (``"serial"`` / ``"threads"`` / ``"process"``) is constructed."""
     if isinstance(kind, ExecutionBackend):
@@ -627,7 +452,6 @@ def make_backend(kind, catalog: Catalog,
         return ThreadBackend()
     if kind == "process":
         return ProcessPoolBackend(catalog, workers=pool_workers,
-                                  mp_context=mp_context,
-                                  streaming=streaming, chunk_rows=chunk_rows)
+                                  mp_context=mp_context)
     raise ValueError(f"unknown backend {kind!r}; "
                      "have 'serial', 'threads', 'process'")

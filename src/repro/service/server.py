@@ -67,6 +67,7 @@ from ..engine.kernels import kernel_stats
 from ..obs import ObservabilityConfig
 from ..obs.export import SlowQueryLog, json_snapshot, prometheus_text
 from ..obs.trace import Trace, Tracer, child_span
+from ..optimizer.pipeline import configure, run_pre_check
 from ..storage.catalog import Catalog
 from .backends import ExecutionBackend, make_backend
 from .metrics import (
@@ -187,6 +188,9 @@ class QueryServer:
             raise ValueError("default_tenant_weight must be positive")
         if tenant_weights and any(w <= 0 for w in tenant_weights.values()):
             raise ValueError("tenant weights must be positive")
+        # Optimizer options are first used by a dispatch thread; check
+        # them here so a bad one fails the constructor, not every query.
+        run_pre_check(configure(strategy, config, **overrides))
         self.catalog = catalog
         self.parallelism = parallelism
         self.batch_size = batch_size

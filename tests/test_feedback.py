@@ -411,13 +411,11 @@ class TestDisjointGatherParity:
         assert BatchedExecutor().run(root, undeclared) == rows
         assert declared.comparisons.value < undeclared.comparisons.value
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_process_backend_comparison_parity(self, streaming):
+    def test_process_backend_comparison_parity(self):
         catalog, prepared = disjoint_plan_case()
         local = ExecutionContext(catalog)
         reference = prepared.execute(ctx=local)
-        backend = make_backend("process", catalog, pool_workers=2,
-                               streaming=streaming)
+        backend = make_backend("process", catalog, pool_workers=2)
         try:
             ctx = ExecutionContext(catalog)
             rows = backend.run_plan(prepared.plan, catalog, parallelism=4,

@@ -1,7 +1,9 @@
 """MergeExchange unit tests: edge shapes (empty/single/oversharded
-shards, duplicate keys), spilling per-shard sorts, and the deterministic
-thread-pool drain discipline shared with ExchangeUnion."""
+shards, duplicate keys), spilling per-shard sorts, the deterministic
+thread-pool drain discipline shared with ExchangeUnion, and the run
+merge (one stable sort) for unmetered merges of materialised shards."""
 
+import random
 import time
 
 import pytest
@@ -17,6 +19,8 @@ from repro.engine import (
     Sort,
     TableScan,
 )
+from repro.engine.joins import MergeJoin
+from repro.expr import JoinPredicate
 from repro.storage import Catalog, Schema, SystemParameters
 
 SCHEMA = Schema.of(("k", "int", 8), ("v", "int", 8))
@@ -198,3 +202,119 @@ class TestDeterministicThreadDrain:
         assert threaded.run(threaded_ctx) == serial.run(serial_ctx) == \
             sorted(table.rows, key=lambda r: r[0])
         assert _counters(threaded_ctx) == _counters(serial_ctx)
+
+
+# -- the run merge -------------------------------------------------------------------------
+RUN_SCHEMA = Schema.of(("k", "int", 8), ("j", "int", 8), ("v", "int", 8))
+RUN_ORDERS = [SortOrder(["k"]), SortOrder(["k", "j"]), SortOrder(["j", "k"])]
+
+
+def sorted_on(rows, order):
+    """The oracle: a stable ``sorted()`` with NULLs before every value."""
+    positions = RUN_SCHEMA.positions(list(order))
+    return sorted(rows, key=lambda row: [
+        (row[p] is not None, 0 if row[p] is None else row[p])
+        for p in positions])
+
+
+def random_shard(shard, n, domain=3, null_share=0.0, seed=5):
+    """*n* rows with keys from a small domain (ties across shards) and
+    ``v`` naming the row's shard and position."""
+    rng = random.Random(seed * 100 + shard)
+
+    def key():
+        return None if rng.random() < null_share else rng.randrange(domain)
+    return [(key(), key(), shard * 1000 + i) for i in range(n)]
+
+
+#: Shard layouts, each shard sorted on the merge order before the merge.
+RUN_LAYOUTS = {
+    "equal_keys": [[(1, 1, 0), (1, 1, 1)], [(1, 1, 1000)],
+                   [(1, 1, 2000), (1, 1, 2001)]],
+    "ties_across_shards": [random_shard(s, 40) for s in range(4)],
+    "null_shard_beside_plain": (
+        [random_shard(0, 30, null_share=0.4)]
+        + [random_shard(s, 40) for s in range(1, 4)]),
+    "empty_shards": [[], random_shard(1, 25), [], random_shard(3, 25), []],
+    "all_empty": [[], [], []],
+    "single_shard": [random_shard(0, 50, null_share=0.2)],
+}
+
+
+def run_merge(shards, order, meter, **ctx_args):
+    op = MergeExchange([RowSource(RUN_SCHEMA, s, output_order=order)
+                        for s in shards], order)
+    return op.run(ExecutionContext(meter_comparisons=meter, **ctx_args))
+
+
+class TestRunMerge:
+    """Unmetered merges over materialised shards sort the concatenation
+    once; the rows must be exactly the metered heap merge's and a stable
+    ``sorted()`` over the shard-order concatenation's."""
+
+    @pytest.mark.parametrize("order", RUN_ORDERS, ids=str)
+    @pytest.mark.parametrize("layout", sorted(RUN_LAYOUTS))
+    def test_matches_sorted_and_heap_merge(self, layout, order):
+        shards = [sorted_on(s, order) for s in RUN_LAYOUTS[layout]]
+        expected = sorted_on(sum(shards, []), order)
+        for batch_size in (1, 7, None):
+            assert run_merge(shards, order, False,
+                             batch_size=batch_size) == expected
+            assert run_merge(shards, order, True,
+                             batch_size=batch_size) == expected
+
+    def test_ties_go_to_the_lowest_shard(self):
+        shards = RUN_LAYOUTS["equal_keys"]
+        assert [v for _, _, v in run_merge(shards, ORDER_K, False)] == \
+            [0, 1, 1000, 2000, 2001]
+
+    def test_materialised_children_skip_the_heap(self, monkeypatch):
+        import repro.engine.exchange as exchange
+
+        def no_heap(*args):
+            raise AssertionError("heap merge used for materialised shards")
+        monkeypatch.setattr(exchange, "merge_sorted_streams", no_heap)
+        shards = [sorted_on(s, ORDER_K)
+                  for s in RUN_LAYOUTS["ties_across_shards"]]
+        assert run_merge(shards, ORDER_K, False) == \
+            sorted_on(sum(shards, []), ORDER_K)
+        with pytest.raises(AssertionError, match="heap merge used"):
+            run_merge(shards, ORDER_K, True)
+
+    @pytest.mark.parametrize("meter", [False, True])
+    def test_check_orders_catches_unsorted_shard(self, meter):
+        shards = [[(0, 0, 0), (4, 0, 1)], [(5, 0, 1000), (1, 0, 1001)]]
+        with pytest.raises(AssertionError,
+                           match="MergeExchange input shard 1"):
+            run_merge(shards, ORDER_K, meter, check_orders=True)
+
+    def test_lazy_children_keep_the_heap_merge(self):
+        """A merge join stops reading one input once the other is
+        exhausted.  Under it, a merge of spilled per-shard sorts must
+        charge the same blocks metered or not: sorting the shards'
+        concatenation would drain them to the end first (fuzz seed 37's
+        shape, at batch size 1)."""
+        rng = random.Random(37)
+        cat = Catalog(SystemParameters(sort_memory_blocks=2))
+        cat.create_table("l", Schema.of(("a", "int", 200), ("x", "int", 200)),
+                         rows=[(rng.randrange(10), i) for i in range(200)])
+        cat.create_table("r", Schema.of(("c", "int", 200), ("y", "int", 200)),
+                         rows=[(rng.randrange(40), i) for i in range(200)])
+
+        def gather(name, key):
+            order = SortOrder([key])
+            return MergeExchange(
+                [Sort(ShardedScan(cat.table(name), 4, i), order)
+                 for i in range(4)], order)
+
+        join = MergeJoin(gather("l", "a"), gather("r", "c"),
+                         JoinPredicate([("a", "c")]))
+        runs = []
+        for meter in (True, False):
+            ctx = ExecutionContext(cat, batch_size=1, meter_comparisons=meter)
+            rows = join.run(ctx)
+            tallies = ctx.tallies()
+            del tallies["comparisons"], tallies["meter_comparisons"]
+            runs.append((rows, tallies))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["run_blocks_read"] > 0  # the sorts spilled

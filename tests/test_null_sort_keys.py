@@ -104,12 +104,16 @@ class TestMergeAndTopK:
                                 SCHEMA, order)]
         shards += [python_sorted(plain[i::3], SCHEMA, order)
                    for i in range(3)]
-        for layout in (shards, shards[::-1]):
+        # Both shard orders, empty shards around the NULL shard, and the
+        # NULL shard alone; each against sorted() and the metered heap.
+        for layout in (shards, shards[::-1], [[]] + shards[:2] + [[]],
+                       shards[:1]):
             op = MergeExchange([RowSource(SCHEMA, s, output_order=order)
                                 for s in layout], order)
             ctx = ctx_for(meter)
-            assert op.run(ctx) == python_sorted(sum(layout, []), SCHEMA,
-                                                order)
+            rows = op.run(ctx)
+            assert rows == python_sorted(sum(layout, []), SCHEMA, order)
+            assert rows == op.run(ctx_for(True))
 
     @pytest.mark.parametrize("k", [1, 6, 40, 500])
     def test_topk(self, order, meter, k):

@@ -1,5 +1,5 @@
 """Observability: span trees end to end (serial / threads / process,
-streaming and gathered, pool-rebuild mid-query), EXPLAIN ANALYZE
+pool-rebuild mid-query), EXPLAIN ANALYZE
 estimated-vs-actual annotations, the histogram-backed latency tracker,
 Prometheus/JSON exposition, the slow-query log, and the fuzz-corpus pin
 that tracing changes no rows and no tallies."""
@@ -348,7 +348,7 @@ class TestServerTracing:
 
     def test_gathered_transfer_also_reattaches_workers(self):
         catalog = serving_catalog()
-        backend = ProcessPoolBackend(catalog, workers=2, streaming=False)
+        backend = ProcessPoolBackend(catalog, workers=2)
         with QueryServer(catalog, backend=backend, parallelism=4,
                          obs=True) as server:
             result = server.execute(serving_queries()[0])

@@ -17,7 +17,7 @@ are **bit-identical** across every execution configuration:
   the row-tuple batched engine), including a tally comparison: the
   evaluation layout must not change any simulated cost counter;
 * comparison metering on vs off (``meter_comparisons``) on the serial,
-  threads and process backends (gathered and streaming), at parallelism
+  threads and process backends, at parallelism
   1 and 4 and every batch size: same rows in the same order, every
   tally but ``comparisons`` identical, and an unmetered count of 0.
 
@@ -223,33 +223,26 @@ def _tallies_but_comparisons(ctx: ExecutionContext) -> dict:
 def metering_mismatches(catalog: Catalog, session: QuerySession, query,
                         backend, reference: list[tuple]) -> list[str]:
     """Run *query* on *backend* with a metered ctx, an unmetered ctx and
-    no ctx (the serving default) per parallelism × batch size (× transfer
-    protocol on the process backend); names of configs that break
-    metering parity."""
+    no ctx (the serving default) per parallelism × batch size; names of
+    configs that break metering parity."""
     bad = []
-    protocols = (False, True) if backend.name == "process" else (None,)
-    for streaming in protocols:
-        if streaming is not None:
-            backend.streaming = streaming
-        for parallelism in (1, 4):
-            plan = session.prepare(query, parallelism=parallelism).plan
-            for batch_size in (1, 64, None):
-                name = f"{backend.name}/p{parallelism}/b{batch_size or 'def'}"
-                if streaming is not None:
-                    name += "/streaming" if streaming else "/gathered"
-                metered = ExecutionContext(catalog, batch_size=batch_size)
-                plain = ExecutionContext(catalog, batch_size=batch_size,
-                                         meter_comparisons=False)
-                runs = [backend.run_plan(plan, catalog, parallelism,
-                                         batch_size, ctx=ctx)
-                        for ctx in (metered, plain, None)]
-                if any(rows != reference for rows in runs):
-                    bad.append(f"metering/rows {name}")
-                if (_tallies_but_comparisons(metered)
-                        != _tallies_but_comparisons(plain)):
-                    bad.append(f"metering/tallies {name}")
-                if plain.comparisons.value != 0:
-                    bad.append(f"metering/unmetered-count {name}")
+    for parallelism in (1, 4):
+        plan = session.prepare(query, parallelism=parallelism).plan
+        for batch_size in (1, 64, None):
+            name = f"{backend.name}/p{parallelism}/b{batch_size or 'def'}"
+            metered = ExecutionContext(catalog, batch_size=batch_size)
+            plain = ExecutionContext(catalog, batch_size=batch_size,
+                                     meter_comparisons=False)
+            runs = [backend.run_plan(plan, catalog, parallelism,
+                                     batch_size, ctx=ctx)
+                    for ctx in (metered, plain, None)]
+            if any(rows != reference for rows in runs):
+                bad.append(f"metering/rows {name}")
+            if (_tallies_but_comparisons(metered)
+                    != _tallies_but_comparisons(plain)):
+                bad.append(f"metering/tallies {name}")
+            if plain.comparisons.value != 0:
+                bad.append(f"metering/unmetered-count {name}")
     return bad
 
 
@@ -412,7 +405,7 @@ def _corpus_case(seed: int):
 
 def test_process_backend_metering_parity():
     """Metering on vs off through the worker pool: the flag rides to the
-    workers with each task, gathered and streaming.  Four plain corpus
+    workers with each task.  Four plain corpus
     seeds plus the first four whose sharded plan has a MergeExchange
     (about one seed in twenty), so the serving-side merge is covered."""
     seeds = list(range(BASE_SEED + 100, BASE_SEED + 104))

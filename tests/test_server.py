@@ -2,8 +2,8 @@
 cross-session plan cache, backend parity (including the process pool on
 the fuzz-suite plan corpus), cooperative backpressure (retry-after,
 tenant quotas, circuit breaker), pool resilience under breakage and
-refresh, streaming shard transfer, and the many-clients stress tests
-that pin the admission-counter reconciliation invariant."""
+refresh, worker-cache telemetry, and the many-clients stress tests that
+pin the admission-counter reconciliation invariant."""
 
 import asyncio
 import os
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.sort_order import SortOrder
 from repro.expr import col, param
-from repro.expr.aggregates import agg_sum
+from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import Query
 from repro.service import (
     CircuitOpen,
@@ -104,6 +104,21 @@ class _BlockingBackend(ExecutionBackend):
         return [("done",)]
 
 
+def metered_runs(plan, catalog, backend, parallelism=4):
+    """``(rows, tallies)`` of *plan* on the serial backend and on
+    *backend*, each with a metered ctx."""
+    from repro.engine import ExecutionContext
+    from repro.service.backends import SerialBackend
+
+    runs = []
+    for runner in (SerialBackend(), backend):
+        ctx = ExecutionContext(catalog)
+        rows = runner.run_plan(plan, catalog, parallelism=parallelism,
+                               ctx=ctx)
+        runs.append((rows, ctx.tallies()))
+    return runs
+
+
 # -- admission control -------------------------------------------------------------------
 class TestAdmission:
     def test_queue_full_rejects_and_counters_balance(self, catalog):
@@ -176,6 +191,15 @@ class TestAdmission:
             QueryServer(catalog, queue_limit=0)
         with pytest.raises(ValueError):
             QueryServer(catalog, backend="bogus")
+
+    @pytest.mark.parametrize("knob", [{"streaming": True},
+                                      {"chunk_rows": 1},
+                                      {"strategy": "bogus"}], ids=str)
+    def test_bad_optimizer_options_fail_the_constructor(self, catalog, knob):
+        """Unknown options and configs the pre-check rejects raise where
+        the server is built, not in every query's dispatch thread."""
+        with pytest.raises((TypeError, ValueError)):
+            QueryServer(catalog, **knob)
 
 
 # -- the stress test ---------------------------------------------------------------------
@@ -279,6 +303,26 @@ class TestProcessBackend:
                              max_inflight=2, pool_workers=2) as server:
                 result = server.execute(query)
                 assert result.rows == reference, f"fuzz seed {seed}"
+
+    def test_metered_tallies_match_serial_on_fuzz_corpus(self):
+        """Corpus plans whose exchanges leave a full table scan outside
+        the shipped shard scans (seeds 12, 28 and 43 at parallelism 4):
+        workers and the local gather shard it as the serial executor
+        does, so the scan blocks charged agree too."""
+        from tests.test_plan_fuzz import random_catalog, random_query
+
+        for seed in (12, 28, 43):
+            rng = random.Random(seed)
+            fuzz_catalog = random_catalog(rng)
+            query = random_query(rng, fuzz_catalog)
+            plan = QuerySession(fuzz_catalog).prepare(query,
+                                                      parallelism=4).plan
+            backend = ProcessPoolBackend(fuzz_catalog, workers=2)
+            try:
+                serial, pooled = metered_runs(plan, fuzz_catalog, backend)
+            finally:
+                backend.close()
+            assert serial == pooled, f"fuzz seed {seed}"
 
     def test_shard_subplans_ship_to_workers(self, catalog, references):
         """A MergeExchange plan is cut at the exchange: per-shard sorts
@@ -642,56 +686,85 @@ class TestPoolResilience:
             backend.close()
 
 
-# -- streaming shard transfer ------------------------------------------------------------
-class TestStreamingTransfer:
-    def test_streaming_matches_gathered_rows_and_tallies(self, catalog,
-                                                         references):
-        """Chunked transfer is bit-identical to whole-result pickles —
-        rows and absorbed worker tallies alike — and the worker-side
-        subplan cache hits on a re-served identical plan."""
-        from repro.engine import ExecutionContext
+# -- serving mix: worker telemetry and tally parity -------------------------------------
+def trades_catalog(num_rows=3000, seed=5):
+    """The serving benchmark's ``trades`` shape: clustered on ``sym``,
+    sort memory sized so the report spills unsharded."""
+    rng = random.Random(seed)
+    catalog = Catalog(SystemParameters(
+        sort_memory_blocks=max(20, num_rows // 100)))
+    schema = Schema.of(("sym", "int", 8), ("ts", "int", 8),
+                       ("qty", "int", 8), ("tag", "str", 64))
+    rows = [(rng.randrange(64), rng.randrange(100_000),
+             rng.randrange(1, 500), f"t{rng.randrange(997)}")
+            for _ in range(num_rows)]
+    catalog.create_table("trades", schema, rows=rows,
+                         clustering_order=SortOrder(["sym"]))
+    return catalog
 
+
+def serving_mix():
+    """``(name, query, binds)``: the sort-heavy report (a MergeExchange
+    at parallelism 4), a parameterised group-by at two bindings and a
+    range projection (both shipped as whole-plan tasks)."""
+    report = Query.table("trades").order_by("ts", "sym", "qty", "tag")
+    volume = (Query.table("trades").where(col("qty").ge(param("min_qty")))
+              .group_by(["sym"], count_star("n"), agg_sum(col("qty"), "vol"))
+              .order_by("sym"))
+    recent = (Query.table("trades").where(col("ts").ge(90_000))
+              .select("ts", "sym", "qty").order_by("ts", "sym", "qty"))
+    return [("report", report, {}), ("volume_100", volume, {"min_qty": 100}),
+            ("volume_250", volume, {"min_qty": 250}), ("recent", recent, {})]
+
+
+class TestServingMixOnThePool:
+    def test_metered_tallies_match_serial(self):
+        """Every counter a metered ctx collects — scan blocks included —
+        is the serial backend's, for sharded and whole-plan tasks alike
+        (a whole plan runs at the query's parallelism in the worker)."""
+        catalog = trades_catalog()
         session = QuerySession(catalog)
-        plan = session.prepare(serving_queries()[0], parallelism=4).plan
-        streaming = ProcessPoolBackend(catalog, workers=1, chunk_rows=256)
-        gathered = ProcessPoolBackend(catalog, workers=1, streaming=False)
+        backend = ProcessPoolBackend(catalog, workers=2)
         try:
-            ctx_s = ExecutionContext(catalog)
-            ctx_g = ExecutionContext(catalog)
-            rows_s = streaming.run_plan(plan, catalog, parallelism=4,
-                                        ctx=ctx_s)
-            rows_g = gathered.run_plan(plan, catalog, parallelism=4,
-                                       ctx=ctx_g)
-            assert rows_s == rows_g == references[0]
-            assert ctx_s.tallies() == ctx_g.tallies()
-
-            d = streaming.describe()
-            assert d["streaming"] and not gathered.describe()["streaming"]
-            assert d["streamed_queries"] == 1
-            # 4 shards of ~1000 rows in 256-row chunks.
-            assert d["streamed_chunks"] >= 8
-            assert d["subplan_cache_misses"] == 4
-            assert d["subplan_cache_hits"] == 0
-
-            # Re-serve the identical plan: the single worker has every
-            # shard subplan warm.
-            assert streaming.run_plan(plan, catalog,
-                                      parallelism=4) == references[0]
-            d = streaming.describe()
-            assert d["subplan_cache_hits"] == 4
+            for name, query, binds in serving_mix():
+                plan = session.prepare(query, parallelism=4).bind(**binds)
+                serial, pooled = metered_runs(plan, catalog, backend)
+                assert serial == pooled, name
         finally:
-            streaming.close()
-            gathered.close()
+            backend.close()
 
-    def test_streaming_server_end_to_end(self, catalog, references):
-        """The default process backend streams: full server round trip
-        stays bit-identical, and the telemetry surfaces in stats()."""
+    def test_repeated_plan_reports_worker_cache_hits(self):
+        """The first run lowers every task (misses); a re-served plan
+        finds each one warm on the single worker (hits) — for the
+        report's four shard tasks and a whole-plan task alike."""
+        catalog = trades_catalog(num_rows=1000)
+        session = QuerySession(catalog)
+        backend = ProcessPoolBackend(catalog, workers=1)
+        try:
+            for (name, query, binds), tasks in zip(serving_mix()[::3],
+                                                   (4, 1)):
+                plan = session.prepare(query, parallelism=4).bind(**binds)
+                before = backend.describe()
+                backend.run_plan(plan, catalog, parallelism=4)
+                backend.run_plan(plan, catalog, parallelism=4)
+                after = backend.describe()
+                assert (after["subplan_cache_misses"]
+                        - before["subplan_cache_misses"]) == tasks, name
+                assert (after["subplan_cache_hits"]
+                        - before["subplan_cache_hits"]) == tasks, name
+        finally:
+            backend.close()
+
+    def test_server_stats_report_worker_cache_hits(self):
+        catalog = trades_catalog(num_rows=1000)
+        name, query, _ = serving_mix()[0]
         with QueryServer(catalog, backend="process", parallelism=4,
-                         pool_workers=2) as server:
-            assert server.execute(serving_queries()[0]).rows == references[0]
+                         pool_workers=1) as server:
+            first = server.execute(query).rows
+            assert server.execute(query).rows == first
             stats = server.stats()
-            assert stats["streamed_queries"] == 1
-            assert stats["streamed_chunks"] > 0
+        assert stats["subplan_cache_misses"] == 4
+        assert stats["subplan_cache_hits"] == 4
 
 
 # -- the chaos reconciliation suite ------------------------------------------------------
